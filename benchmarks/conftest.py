@@ -27,6 +27,7 @@ from typing import Dict
 import pytest
 
 from repro.experiments import get_scale
+from repro.federated.execution import available_cpus
 
 _BENCH_RESULTS: Dict[str, dict] = {}
 _BENCH_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_round.json"
@@ -68,7 +69,7 @@ def pytest_sessionfinish(session, exitstatus):
         scale_name = os.environ.get("REPRO_SCALE", "tiny")
     environment = {
         "scale": scale_name,
-        "cpu_count": os.cpu_count(),
+        "cpu_count": available_cpus(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     for section, data in _BENCH_RESULTS.items():

@@ -1,4 +1,5 @@
-"""Repository-wide pytest configuration: a global per-test timeout.
+"""Repository-wide pytest configuration: a global per-test timeout and the
+hypothesis profile.
 
 A hung pinned-worker pool used to stall the whole suite (and CI) until the
 job-level timeout killed it with no indication of *which* test hung.  Every
@@ -10,6 +11,9 @@ The budget is deliberately generous (the slowest legitimate tests are the
 multi-process simulation integration runs): override it per environment with
 ``REPRO_TEST_TIMEOUT`` seconds, or set ``0`` to disable (e.g. when stepping
 through a test under a debugger).
+
+Property tests run under a profile with ``print_blob=True``: a failure prints
+the ``@reproduce_failure`` line, so it reproduces from the log alone.
 """
 
 from __future__ import annotations
@@ -19,6 +23,10 @@ import signal
 import threading
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("repro", print_blob=True)
+settings.load_profile("repro")
 
 _DEFAULT_TIMEOUT_SECONDS = 300.0
 

@@ -34,12 +34,10 @@ from repro.autograd.tape import (
     PlanError,
     PlanNotBatchable,
     Tape,
+    bits_equal,
     get_kernel,
-    get_plan_optimize,
     kernel_mode,
-    plan_optimize_mode,
     set_kernel,
-    set_plan_optimize,
     tracing,
 )
 from repro.autograd import functional
@@ -57,12 +55,10 @@ __all__ = [
     "PlanError",
     "PlanNotBatchable",
     "Tape",
+    "bits_equal",
     "get_kernel",
-    "get_plan_optimize",
     "kernel_mode",
-    "plan_optimize_mode",
     "set_kernel",
-    "set_plan_optimize",
     "tracing",
     "functional",
 ]

@@ -63,6 +63,16 @@ def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def bits_equal(a: Any, b: Any) -> bool:
+    """Bitwise equality: same dtype, same shape, same raw bytes.
+
+    The oracle behind every "bit-for-bit" claim: unlike ``np.array_equal`` a
+    NaN equals the identical NaN, and ``-0.0`` differs from ``0.0``.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 # --------------------------------------------------------------------------- #
 # Kernel mode: process-global knob mirroring the default-dtype machinery
 # --------------------------------------------------------------------------- #
@@ -94,37 +104,6 @@ def kernel_mode(kernel: str):
         yield
     finally:
         set_kernel(previous)
-
-
-# --------------------------------------------------------------------------- #
-# Plan-optimizer knob: same process-global shape as the kernel knob.  The
-# optimizer passes (planopt) are bit-for-bit with unoptimized replay, so this
-# only exists as an escape hatch / A-B lever for benches and tests.
-# --------------------------------------------------------------------------- #
-_PLAN_OPTIMIZE = True
-
-
-def get_plan_optimize() -> bool:
-    """Return whether newly compiled plans run the optimizer passes."""
-    return _PLAN_OPTIMIZE
-
-
-def set_plan_optimize(enabled: bool) -> bool:
-    """Set the process-wide plan-optimize flag; returns the previous value."""
-    global _PLAN_OPTIMIZE
-    previous = _PLAN_OPTIMIZE
-    _PLAN_OPTIMIZE = bool(enabled)
-    return previous
-
-
-@contextlib.contextmanager
-def plan_optimize_mode(enabled: bool):
-    """Context manager that temporarily switches the plan-optimize flag."""
-    previous = set_plan_optimize(enabled)
-    try:
-        yield
-    finally:
-        set_plan_optimize(previous)
 
 
 # --------------------------------------------------------------------------- #
@@ -373,7 +352,7 @@ class Plan:
     Compile before calling ``loss.backward()``: backward frees the graph.
     """
 
-    def __init__(self, tape: Tape, loss: Any, optimize: Optional[bool] = None) -> None:
+    def __init__(self, tape: Tape, loss: Any, optimize: bool = True) -> None:
         self.tape = tape
         self.records = tape.records
         loss_slot = tape._slots.get(id(loss))
@@ -450,9 +429,9 @@ class Plan:
         self._rng_objects: Optional[List[np.random.Generator]] = None
 
         # Optimizer passes (DCE / liveness / arena / fusion): bit-for-bit with
-        # unoptimized replay, controlled by the process knob unless overridden.
+        # unoptimized replay, which ``optimize=False`` keeps as the reference.
         self.opt = None
-        if optimize if optimize is not None else get_plan_optimize():
+        if optimize:
             from repro.autograd import planopt  # local: planopt imports tape
 
             self.opt = planopt.optimize_plan(self)
@@ -1378,13 +1357,11 @@ __all__ = [
     "tracing",
     "active_tape",
     "unbroadcast",
+    "bits_equal",
     "get_kernel",
     "set_kernel",
     "kernel_mode",
     "KERNELS",
-    "get_plan_optimize",
-    "set_plan_optimize",
-    "plan_optimize_mode",
     "model_fingerprint",
     "plan_key",
 ]

@@ -19,7 +19,7 @@ from repro.core.dpcl import DPCLConfig
 from repro.datasets.registry import build_dataset
 from repro.experiments.config import ScaledExperimentConfig
 from repro.federated.communication import codec_is_lossless
-from repro.federated.config import FederatedConfig
+from repro.federated.config import FederatedConfig, reset_trajectory_free
 from repro.federated.faults import FaultSpec
 from repro.federated.simulation import FederatedDomainIncrementalSimulation, SimulationResult
 from repro.utils.logging_utils import get_logger
@@ -47,14 +47,14 @@ def clear_run_cache() -> None:
 
 
 def _normalize_execution_knobs(federated: FederatedConfig) -> FederatedConfig:
-    """Fold execution-plane knobs to canonical values for cache-key purposes.
+    """Fold knobs that cannot change a run's numbers, for cache-key purposes.
 
-    ``executor`` / ``num_workers`` / ``shard_cache`` / ``eval_executor`` only
-    change *how* a run executes, never its trained numbers (parity is
-    asserted by the execution and eval-plane test suites), so two
-    configurations differing only in those knobs must share one memoised
-    run.  ``dtype`` genuinely changes the numbers and ``eval_every`` changes
-    the recorded ``round_eval_history``, so both stay in the key.
+    Trajectory-free knobs (the execution plane, checkpoint and serving
+    bookkeeping) reset to their defaults via :func:`reset_trajectory_free`:
+    parity is asserted by the execution, eval, fault and serving suites.
+    ``dtype`` genuinely changes the numbers and ``eval_every`` changes the
+    recorded ``round_eval_history``, so both stay in the key.  What remains
+    here are the *conditional* folds, knobs inert only given other fields.
 
     Communication-plane knobs follow the same rule: a *lossless* codec under
     either transport trains the same numbers as no wire format at all (the
@@ -98,13 +98,11 @@ def _normalize_execution_knobs(federated: FederatedConfig) -> FederatedConfig:
         staleness_decay = FederatedConfig.staleness_decay
     if federated.device_profile == "instant":
         sim_time_limit = 0.0
-    # Fault-plane knobs: checkpoint bookkeeping (where/how often to snapshot,
-    # whether the process resumed) never changes the trained numbers — the
-    # resume tests assert bit-for-bit equality — so it always folds away.  An
-    # all-zero FaultSpec makes the retry knobs inert too (no frame ever fails,
-    # so the bound and backoff are never consulted); with frame faults active
-    # they change delivery and stay in the key, and any enabled spec stays in
-    # the key outright because the failure trace changes the numbers.
+    # Fault-plane knobs: an all-zero FaultSpec makes the retry knobs inert (no
+    # frame ever fails, so the bound and backoff are never consulted); with
+    # frame faults active they change delivery and stay in the key, and any
+    # enabled spec stays in the key outright because the failure trace
+    # changes the numbers.
     faults = federated.faults
     retries = federated.retries
     retry_backoff = federated.retry_backoff
@@ -137,17 +135,9 @@ def _normalize_execution_knobs(federated: FederatedConfig) -> FederatedConfig:
     kernel = federated.kernel
     if kernel == "tape":
         kernel = "eager"
-    # ``plan_optimize`` folds unconditionally: optimized plan replay is
-    # bit-for-bit with unoptimized replay (hash-asserted by the kernel-plane
-    # tests), so the knob can never change a run's numbers under any kernel.
     return replace(
-        federated,
-        executor="serial",
-        num_workers=0,
-        shard_cache=True,
+        reset_trajectory_free(federated),
         kernel=kernel,
-        plan_optimize=True,
-        eval_executor="serial",
         transport="loopback",
         codec=codec,
         bandwidth_limit=bandwidth_limit,
@@ -158,19 +148,6 @@ def _normalize_execution_knobs(federated: FederatedConfig) -> FederatedConfig:
         faults=faults,
         retries=retries,
         retry_backoff=retry_backoff,
-        checkpoint_every=0,
-        checkpoint_dir="",
-        checkpoint_keep=0,
-        resume=False,
-        # Serving-plane knobs fold for the same reason checkpoints do: the
-        # registry and the front end *observe* the run (snapshot publishes,
-        # read-only inference on frozen copies) without touching its
-        # trajectory, and the serving tests assert served logits are
-        # bit-for-bit with direct evaluation.
-        serve=False,
-        publish_every=0,
-        registry_dir="",
-        serve_codec="identity",
         virtual_clients=virtual_clients,
         tree_fanout=tree_fanout,
     )

@@ -29,8 +29,9 @@ import pickle
 import re
 import struct
 import zlib
-from dataclasses import replace
 from typing import Any, Dict, Optional, Tuple
+
+from repro.federated.config import FederatedConfig, reset_trajectory_free
 
 CHECKPOINT_VERSION = 1
 _MAGIC = b"RPCK"
@@ -166,27 +167,16 @@ def load_checkpoint(path: str) -> Dict[str, Any]:
     return payload
 
 
-def config_fingerprint(config: Any) -> str:
+def config_fingerprint(config: FederatedConfig) -> str:
     """Digest of everything in the config that affects simulation trajectory.
 
-    Checkpoint bookkeeping knobs (where/how often to save, how many to keep,
-    whether to resume) are masked out so the kill-and-resume flow — which
-    necessarily differs in exactly those knobs — still matches the fingerprint
-    of the original run.  The serving plane's publish knobs are masked for the
-    same reason: publishing versions observes a run without changing its
-    trajectory, so a served run and a silent run share one fingerprint.
+    Trajectory-free knobs (the execution plane and the checkpoint/serving
+    bookkeeping; see :func:`~repro.federated.config.reset_trajectory_free`)
+    are reset first, so the kill-and-resume flow — which necessarily differs
+    in the checkpoint knobs — still matches the original run, a served run and
+    a silent run share one fingerprint, and a serial run resumes on workers.
     """
-    masked = replace(
-        config,
-        checkpoint_every=0,
-        checkpoint_dir="",
-        checkpoint_keep=0,
-        resume=False,
-        serve=False,
-        publish_every=0,
-        registry_dir="",
-        serve_codec="identity",
-    )
+    masked = reset_trajectory_free(config)
     return hashlib.sha256(repr(masked).encode("utf-8")).hexdigest()
 
 

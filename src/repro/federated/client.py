@@ -9,7 +9,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro.autograd import tape as tape_mod
-from repro.autograd.tape import Plan, PlanCache, PlanError, Tape, tracing
+from repro.autograd.tape import Plan, PlanCache, PlanError, Tape, bits_equal, tracing
 from repro.autograd.tensor import Tensor
 from repro.datasets.base import ArrayDataset, DataLoader
 from repro.federated.increment import ClientGroup
@@ -288,7 +288,7 @@ def _verify_and_step(
     grads_before = {slot: p.grad for slot, p in plan.param_leaves}
     loss = loss_fn(model, images, labels_np)
     loss.backward()
-    matches = np.array_equal(replay_loss, loss.data)
+    matches = bits_equal(replay_loss, loss.data)
     if matches:
         for slot, param in plan.param_leaves:
             replayed = replay_grads.get(slot)
@@ -297,7 +297,7 @@ def _verify_and_step(
                 replayed if before is None or replayed is None else before + replayed
             )
             if (param.grad is None) != (expected is None) or (
-                param.grad is not None and not np.array_equal(param.grad, expected)
+                param.grad is not None and not bits_equal(param.grad, expected)
             ):
                 matches = False
                 break

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -12,6 +12,15 @@ from repro.federated.clock import PROFILE_TIERS
 from repro.federated.communication import build_codec
 from repro.federated.faults import FaultSpec
 from repro.federated.increment import ClientIncrementConfig
+
+
+#: ``dataclasses.field`` metadata key marking a trajectory-free knob.
+TRAJECTORY_FREE = "trajectory_free"
+
+
+def _trajectory_free(default):
+    """Declare a knob that never changes the trained state or the checkpoint."""
+    return field(default=default, metadata={TRAJECTORY_FREE: True})
 
 
 @dataclass(frozen=True)
@@ -41,8 +50,8 @@ class FederatedConfig:
         :mod:`repro.federated.execution`).  Results are identical for a given
         seed either way.
     num_workers:
-        Worker processes for the parallel executor; ``0`` means one per CPU.
-        Ignored when ``executor="serial"``.
+        Worker processes for the parallel executor; ``0`` means one per CPU
+        the process may run on.  Ignored when ``executor="serial"``.
     shard_cache:
         Whether the parallel executor's client data plane caches dataset
         shards inside worker processes (default on).  With the cache, a
@@ -67,13 +76,6 @@ class FederatedConfig:
         vectorized plan step per batch (:mod:`repro.federated.lockstep`) —
         exact in structure (same draws, same step counts) but tolerance-level
         in floats, and requires ``executor="serial"``.
-    plan_optimize:
-        Whether compiled plans run the compile-time optimizer passes
-        (:mod:`repro.autograd.planopt`): dead-code elimination, slot liveness
-        with a per-plan buffer arena, and elementwise fusion.  Optimized
-        replay is bit-for-bit with unoptimized replay (hash-asserted in the
-        test suite), so this is purely a performance lever — default on, and
-        folded out of the run-cache key.  Ignored under ``kernel="eager"``.
     eval_executor:
         How the seen-task evaluation suite runs: ``"serial"`` (historical
         in-process loop) or ``"parallel"`` (fan seen tasks × batch-aligned
@@ -253,6 +255,13 @@ class FederatedConfig:
         Children per aggregator node of the reduce tree (≥ 2).  A cohort no
         larger than the fan-out degenerates to a single root reduce with zero
         edge frames.  Ignored when ``reduce_backend="flat"``.
+
+    Knobs tagged with :func:`_trajectory_free` never change the trained state
+    and carry no checkpointed state (the execution plane and the
+    checkpoint/serving bookkeeping).  :func:`reset_trajectory_free` puts them
+    back to their defaults, which is all the checkpoint fingerprint and the
+    run cache need to know about them: a new knob of that kind is tagged
+    where it is declared and nowhere else.
     """
 
     increment: ClientIncrementConfig = field(default_factory=ClientIncrementConfig)
@@ -262,13 +271,12 @@ class FederatedConfig:
     partition_concentration: float = 1.0
     eval_batch_size: int = 64
     seed: int = 0
-    executor: str = "serial"
-    num_workers: int = 0
-    shard_cache: bool = True
+    executor: str = _trajectory_free("serial")
+    num_workers: int = _trajectory_free(0)
+    shard_cache: bool = _trajectory_free(True)
     dtype: str = "float64"
     kernel: str = "eager"
-    plan_optimize: bool = True
-    eval_executor: str = "serial"
+    eval_executor: str = _trajectory_free("serial")
     eval_every: int = 0
     transport: str = "loopback"
     codec: str = "identity"
@@ -282,14 +290,14 @@ class FederatedConfig:
     faults: FaultSpec = field(default_factory=FaultSpec)
     retries: int = 2
     retry_backoff: float = 0.5
-    checkpoint_every: int = 0
-    checkpoint_dir: str = ""
-    resume: bool = False
-    checkpoint_keep: int = 0
-    serve: bool = False
-    publish_every: int = 0
-    registry_dir: str = ""
-    serve_codec: str = "identity"
+    checkpoint_every: int = _trajectory_free(0)
+    checkpoint_dir: str = _trajectory_free("")
+    resume: bool = _trajectory_free(False)
+    checkpoint_keep: int = _trajectory_free(0)
+    serve: bool = _trajectory_free(False)
+    publish_every: int = _trajectory_free(0)
+    registry_dir: str = _trajectory_free("")
+    serve_codec: str = _trajectory_free("identity")
     virtual_clients: bool = False
     population: int = 0
     reduce_backend: str = "flat"
@@ -436,4 +444,12 @@ class FederatedConfig:
             raise ValueError(f"dtype must be 'float64' or 'float32', got {self.dtype!r}")
 
 
-__all__ = ["FederatedConfig"]
+def reset_trajectory_free(config: FederatedConfig) -> FederatedConfig:
+    """``config`` with every trajectory-free knob back at its default."""
+    return replace(
+        config,
+        **{f.name: f.default for f in fields(config) if f.metadata.get(TRAJECTORY_FREE)},
+    )
+
+
+__all__ = ["FederatedConfig", "reset_trajectory_free"]

@@ -91,7 +91,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.autograd.tape import KERNELS, set_kernel, set_plan_optimize
+from repro.autograd.tape import KERNELS, set_kernel
 from repro.autograd.tensor import get_default_dtype, set_default_dtype
 from repro.continual.evaluator import EvalBackend, PredictFn, count_correct
 from repro.continual.scenario import Task
@@ -168,7 +168,6 @@ def _run_client_chunk(
     indexed_clients: Sequence[Tuple[int, ClientHandle]],
     dtype_name: str,
     kernel: str = "eager",
-    plan_optimize: bool = True,
 ) -> List[Tuple[int, ClientUpdate, Any]]:
     """Train one worker's share of the round's clients.
 
@@ -181,7 +180,6 @@ def _run_client_chunk(
     """
     set_default_dtype(dtype_name)
     set_kernel(kernel)
-    set_plan_optimize(plan_optimize)
     method: FederatedMethod = pickle.loads(method_blob)
     state, payload = deserialize_state(broadcast_blob)
     # numpy's writeable=False flag does not survive pickling; re-protect the
@@ -445,7 +443,6 @@ def _worker_main(worker_id: int, task_queue, result_queue) -> None:
                     dtype_name,
                     task_id,
                     kernel,
-                    plan_optimize,
                 ) = payload
                 _install_shards(shard_blobs)
                 _evict_stale_shards(task_id)
@@ -455,7 +452,6 @@ def _worker_main(worker_id: int, task_queue, result_queue) -> None:
                     _resolve_chunk(items),
                     dtype_name,
                     kernel,
-                    plan_optimize,
                 )
             elif kind == "eval":
                 method_blob, broadcast_blob, items, shard_blobs, dtype_name = payload
@@ -740,13 +736,22 @@ class EvalIPC:
     cache_hits: int
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has
+    one (``taskset``, cgroup cpusets), else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class ParallelExecutor(Executor):
     """Pinned-worker-pool execution with a single-serialization broadcast and a
     per-worker shard cache (the client data plane; see the module docstring).
 
-    ``num_workers`` defaults to the machine's CPU count.  The pool is created
-    lazily on the first round and reused across rounds and tasks; call
-    :meth:`close` (or use the executor as a context manager) to tear it down.
+    ``num_workers`` defaults to the CPUs the process may run on.  The pool is
+    created lazily on the first round and reused across rounds and tasks;
+    call :meth:`close` (or use the executor as a context manager) to tear it
+    down.
     Worker processes inherit the parent's compute dtype so float32 runs stay
     float32 inside the workers.
 
@@ -768,16 +773,12 @@ class ParallelExecutor(Executor):
         shard_cache: bool = True,
         max_respawns: int = 0,
         kernel: str = "eager",
-        plan_optimize: bool = True,
     ) -> None:
-        self.num_workers = max(1, num_workers if num_workers else (os.cpu_count() or 1))
+        self.num_workers = max(1, num_workers if num_workers else available_cpus())
         self.shard_cache = shard_cache
         #: Autograd kernel every train chunk runs under (``"eager"`` or
         #: ``"tape"``; the lockstep ``"batched"`` kernel is serial-only).
         self.kernel = kernel
-        #: Whether compiled plans inside the workers run the optimizer passes
-        #: (bit-for-bit with unoptimized replay; shipped with every chunk).
-        self.plan_optimize = plan_optimize
         #: Self-healing budget: how many dead workers this executor may
         #: replace over its lifetime before a death propagates as
         #: :class:`WorkerDiedError`.  ``0`` (the default) disables healing —
@@ -854,7 +855,6 @@ class ParallelExecutor(Executor):
                 dtype_name,
                 task_id,
                 self.kernel,
-                self.plan_optimize,
             ),
         )
 
@@ -1264,14 +1264,8 @@ def build_executor(
     shard_cache: bool = True,
     max_respawns: int = 0,
     kernel: str = "eager",
-    plan_optimize: bool = True,
 ) -> Executor:
-    """Construct an executor from the :class:`FederatedConfig` knobs.
-
-    ``plan_optimize`` only needs carrying by the parallel executor (it ships
-    with every train chunk); the in-process executors read the process-global
-    flag the simulation sets via ``plan_optimize_mode``.
-    """
+    """Construct an executor from the :class:`FederatedConfig` knobs."""
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; choose one of {KERNELS}")
     if kernel == "batched":
@@ -1290,7 +1284,6 @@ def build_executor(
             shard_cache=shard_cache,
             max_respawns=max_respawns,
             kernel=kernel,
-            plan_optimize=plan_optimize,
         )
     raise ValueError(f"unknown executor {executor!r}; choose 'serial' or 'parallel'")
 
@@ -1306,6 +1299,7 @@ __all__ = [
     "EvalJob",
     "EvalSliceRef",
     "WorkerDiedError",
+    "available_cpus",
     "batch_aligned_slices",
     "build_executor",
 ]

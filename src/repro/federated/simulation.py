@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd.tape import kernel_mode, plan_optimize_mode
+from repro.autograd.tape import kernel_mode
 from repro.autograd.tensor import default_dtype, get_default_dtype
 from repro.continual.evaluator import EvalBackend, GlobalEvaluator
 from repro.continual.metrics import ContinualMetrics
@@ -218,7 +218,6 @@ class FederatedDomainIncrementalSimulation:
             config.shard_cache,
             max_respawns=max_respawns,
             kernel=config.kernel,
-            plan_optimize=config.plan_optimize,
         )
         # The evaluation plane: when eval_executor="parallel", seen-task
         # evaluation fans over a pinned worker pool — the training executor's
@@ -863,7 +862,7 @@ class FederatedDomainIncrementalSimulation:
         in-process ``run_local_sgd`` calls; parallel workers receive the
         kernel with every train chunk instead).
         """
-        with default_dtype(self.config.dtype), kernel_mode(self.config.kernel), plan_optimize_mode(self.config.plan_optimize):
+        with default_dtype(self.config.dtype), kernel_mode(self.config.kernel):
             if not resumed:
                 self.method.on_task_start(task.task_id, self.server)
                 self.server.invalidate_broadcast()

@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd.tape import PlanCache, PlanError, Tape, tracing
+from repro.autograd.tape import PlanCache, PlanError, Tape, bits_equal, tracing
 from repro.autograd.tensor import Tensor, default_dtype, no_grad
 from repro.serving.registry import (
     LoadedVersion,
@@ -225,7 +225,7 @@ class ModelSnapshot:
                 # shape goes replay-only; eager stays authoritative here.
                 replayed = state.plan.run(x.data)
                 eager = np.asarray(self._eager(x).data)
-                if np.array_equal(replayed, eager):
+                if bits_equal(replayed, eager):
                     state.verified = True
                 else:
                     state.bad = True

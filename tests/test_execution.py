@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import pickle
 
 import numpy as np
@@ -79,6 +80,15 @@ class TestExecutorParity:
         )
         np.testing.assert_array_equal(serial.metrics.matrix, parallel.metrics.matrix)
         assert serial.round_losses == parallel.round_losses
+
+    def test_default_workers_follow_cpu_affinity(self, monkeypatch):
+        # Under ``taskset -c 0`` the machine reports more CPUs than the process
+        # may run on; the default pool sizes to the usable ones.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert ParallelExecutor(0).num_workers == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert ParallelExecutor(0).num_workers == 2
 
     def test_build_executor_validation(self):
         assert isinstance(build_executor("serial"), SerialExecutor)

@@ -68,6 +68,26 @@ class TestScaledConfig:
         assert config.federated.clients_per_round == 2
         assert config.federated.increment.transfer_fraction == pytest.approx(0.5)
 
+    def test_every_federated_field_is_accepted(self):
+        # Each FederatedConfig knob is reachable from scaled_config, either as
+        # a named parameter or as an override, without being re-declared.
+        from dataclasses import fields
+
+        from repro.federated.config import FederatedConfig
+
+        preset = scaled_config("office_caltech", scale=ExperimentScale.TINY).federated
+        for field in fields(FederatedConfig):
+            value = getattr(preset, field.name)
+            config = scaled_config(
+                "office_caltech", scale=ExperimentScale.TINY, **{field.name: value}
+            )
+            assert getattr(config.federated, field.name) == value
+
+    def test_unknown_override_raises_type_error(self):
+        # plan_optimize was a knob once; it is now an unknown name like any other.
+        with pytest.raises(TypeError, match="plan_optimize"):
+            scaled_config("office_caltech", scale=ExperimentScale.TINY, plan_optimize=False)
+
     def test_num_tasks_override(self):
         config = scaled_config("digits_five", scale=ExperimentScale.TINY, num_tasks=3)
         assert config.num_tasks == 3

@@ -476,6 +476,35 @@ class TestCheckpointResume:
         assert resumed.round_losses == full.round_losses
         assert resumed.event_log == full.event_log
 
+    def test_serial_checkpoint_resumes_on_workers(
+        self, tiny_spec, tiny_backbone_config, tiny_federated_config, tmp_path
+    ):
+        # The executor is trajectory-free: a crashed serial run may be resumed
+        # on a worker pool and must land on the uninterrupted run's bits.
+        full_dir = tmp_path / "full"
+        config = replace(
+            tiny_federated_config,
+            rounds_per_task=2,
+            checkpoint_every=1,
+            checkpoint_dir=str(full_dir),
+        )
+        full_sim, _ = _run(tiny_spec, tiny_backbone_config, config)
+        names = sorted(os.listdir(full_dir), key=parse_checkpoint_name)
+        resume_dir = tmp_path / "resume"
+        resume_dir.mkdir()
+        shutil.copy(full_dir / names[0], resume_dir / names[0])
+
+        resumed_cfg = replace(
+            config,
+            checkpoint_dir=str(resume_dir),
+            resume=True,
+            executor="parallel",
+            num_workers=2,
+        )
+        resumed_sim, resumed = _run(tiny_spec, tiny_backbone_config, resumed_cfg)
+        assert resumed.fault_stats["resumed_from"] is not None
+        assert simulation_state_hash(resumed_sim) == simulation_state_hash(full_sim)
+
     def test_resume_from_empty_directory_starts_fresh(
         self, tiny_spec, tiny_backbone_config, tiny_federated_config, tmp_path
     ):

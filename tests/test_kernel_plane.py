@@ -18,6 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.autograd.tape import Plan
 from repro.baselines.registry import build_method
 from repro.continual import DomainIncrementalScenario
 from repro.datasets import SyntheticDomainDataset
@@ -33,6 +34,27 @@ def _simulate(tiny_spec, tiny_backbone_config, config, method_name="finetune"):
     with simulation:
         result = simulation.run()
     return result, simulation
+
+
+def _simulate_unoptimized(monkeypatch, *args, **kwargs):
+    """``_simulate`` with every plan compiled as ``Plan(..., optimize=False)``.
+
+    Returns ``(result, simulation, plans)``, ``plans`` counting the plans
+    compiled in this process.  Fork workers inherit the patch because the
+    pool forks inside the run.
+    """
+    compile_plan = Plan.__init__
+    plans = []
+
+    def unoptimized(self, tape, loss, optimize=True):
+        plans.append(self)
+        compile_plan(self, tape, loss, optimize=False)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Plan, "__init__", unoptimized)
+        result, simulation = _simulate(*args, **kwargs)
+    assert all(plan.opt is None for plan in plans)
+    return result, simulation, len(plans)
 
 
 def _assert_identical(a: SimulationResult, b: SimulationResult) -> None:
@@ -115,6 +137,9 @@ class TestBatchedKernelParity:
         telemetry = simulation.executor.telemetry
         assert telemetry.lockstep_clients > 0
         assert telemetry.plans_compiled > 0
+        assert telemetry.plan_cache_misses == telemetry.plans_compiled
+        assert telemetry.plan_cache_hits + telemetry.plan_cache_misses > 0
+        assert telemetry.plan_cache_evictions == 0
 
     def test_batched_fedlwf_with_teacher(
         self, tiny_spec, tiny_backbone_config, tiny_federated_config
@@ -155,86 +180,59 @@ class TestBatchedKernelParity:
 
 
 class TestPlanOptimizeParity:
-    """The plan_optimize knob may never move a number: optimized tape runs are
+    """The plan optimizer may never move a number: optimized tape runs are
     hash-identical to unoptimized ones (and to eager), under every executor
     and dtype; optimized lockstep replay is bit-for-bit with unoptimized
     lockstep replay."""
 
     def test_tape_optimized_identical_to_unoptimized_and_eager(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+        self, monkeypatch, tiny_spec, tiny_backbone_config, tiny_federated_config
     ):
         eager, _ = _simulate(tiny_spec, tiny_backbone_config, tiny_federated_config)
-        tape_on, _ = _simulate(
-            tiny_spec,
-            tiny_backbone_config,
-            replace(tiny_federated_config, kernel="tape", plan_optimize=True),
+        tape_config = replace(tiny_federated_config, kernel="tape")
+        tape_on, _ = _simulate(tiny_spec, tiny_backbone_config, tape_config)
+        tape_off, _, compiled = _simulate_unoptimized(
+            monkeypatch, tiny_spec, tiny_backbone_config, tape_config
         )
-        tape_off, _ = _simulate(
-            tiny_spec,
-            tiny_backbone_config,
-            replace(tiny_federated_config, kernel="tape", plan_optimize=False),
-        )
+        assert compiled > 0
         _assert_identical(tape_on, tape_off)
         _assert_identical(tape_on, eager)
 
     def test_tape_optimized_identical_at_float32(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+        self, monkeypatch, tiny_spec, tiny_backbone_config, tiny_federated_config
     ):
-        on, _ = _simulate(
-            tiny_spec,
-            tiny_backbone_config,
-            replace(tiny_federated_config, dtype="float32", kernel="tape"),
+        config = replace(tiny_federated_config, dtype="float32", kernel="tape")
+        on, _ = _simulate(tiny_spec, tiny_backbone_config, config)
+        off, _, compiled = _simulate_unoptimized(
+            monkeypatch, tiny_spec, tiny_backbone_config, config
         )
-        off, _ = _simulate(
-            tiny_spec,
-            tiny_backbone_config,
-            replace(
-                tiny_federated_config,
-                dtype="float32",
-                kernel="tape",
-                plan_optimize=False,
-            ),
-        )
+        assert compiled > 0
         _assert_identical(on, off)
 
     def test_tape_optimized_identical_under_parallel_executor(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+        self, monkeypatch, tiny_spec, tiny_backbone_config, tiny_federated_config
     ):
-        # The plan_optimize knob must reach worker processes with every chunk.
-        on, _ = _simulate(
-            tiny_spec,
-            tiny_backbone_config,
-            replace(
-                tiny_federated_config, kernel="tape", executor="parallel", num_workers=2
-            ),
+        # Plans compile inside the worker processes here.
+        config = replace(
+            tiny_federated_config, kernel="tape", executor="parallel", num_workers=2
         )
-        off, _ = _simulate(
-            tiny_spec,
-            tiny_backbone_config,
-            replace(
-                tiny_federated_config,
-                kernel="tape",
-                executor="parallel",
-                num_workers=2,
-                plan_optimize=False,
-            ),
+        on, _ = _simulate(tiny_spec, tiny_backbone_config, config)
+        off, _, _ = _simulate_unoptimized(
+            monkeypatch, tiny_spec, tiny_backbone_config, config
         )
         _assert_identical(on, off)
 
     def test_batched_optimized_identical_to_unoptimized(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+        self, monkeypatch, tiny_spec, tiny_backbone_config, tiny_federated_config
     ):
         # Optimized batched replay runs the same ops in the same order with
         # the same stacked operands, so it is exactly equal (not tolerance).
-        wide = _widened(tiny_federated_config)
-        on, sim_on = _simulate(
-            tiny_spec, tiny_backbone_config, replace(wide, kernel="batched")
+        config = replace(_widened(tiny_federated_config), kernel="batched")
+        on, sim_on = _simulate(tiny_spec, tiny_backbone_config, config)
+        off, sim_off, compiled = _simulate_unoptimized(
+            monkeypatch, tiny_spec, tiny_backbone_config, config
         )
-        off, sim_off = _simulate(
-            tiny_spec,
-            tiny_backbone_config,
-            replace(wide, kernel="batched", plan_optimize=False),
-        )
+        assert compiled > 0
         _assert_identical(on, off)
         telemetry = sim_on.executor.telemetry
         assert telemetry.lockstep_clients > 0
@@ -275,20 +273,6 @@ class TestKernelConfigSurface:
         config = scaled_config("office_caltech", kernel="batched")
         assert config.federated.kernel == "batched"
 
-    def test_scaled_config_threads_plan_optimize(self):
-        from repro.experiments.config import scaled_config
-
-        assert scaled_config("office_caltech").federated.plan_optimize is True
-        config = scaled_config("office_caltech", plan_optimize=False)
-        assert config.federated.plan_optimize is False
-
-    def test_build_executor_threads_plan_optimize(self):
-        parallel = build_executor("parallel", 2, kernel="tape", plan_optimize=False)
-        try:
-            assert parallel.plan_optimize is False
-        finally:
-            parallel.close()
-
     def test_runner_folds_tape_keeps_batched(self):
         from repro.experiments.runner import _normalize_execution_knobs
 
@@ -299,14 +283,47 @@ class TestKernelConfigSurface:
             _normalize_execution_knobs(replace(base, kernel="batched")).kernel == "batched"
         )
 
-    def test_runner_folds_plan_optimize_under_every_kernel(self):
-        # Optimized replay is bit-for-bit with unoptimized, so the knob can
-        # never change a run's numbers and always folds out of the cache key.
+    def test_runner_folds_trajectory_free_knobs(self):
         from repro.experiments.runner import _normalize_execution_knobs
 
         base = FederatedConfig()
         for kernel in ("eager", "tape", "batched"):
-            folded = _normalize_execution_knobs(
-                replace(base, kernel=kernel, plan_optimize=False)
-            )
-            assert folded.plan_optimize is True
+            knobs = dict(kernel=kernel, shard_cache=False, eval_executor="parallel")
+            if kernel != "batched":
+                knobs.update(executor="parallel", num_workers=2)
+            assert _normalize_execution_knobs(
+                replace(base, **knobs)
+            ) == _normalize_execution_knobs(replace(base, kernel=kernel))
+
+
+class TestBitwiseVerifier:
+    def test_nan_step_verifies_instead_of_demoting_to_eager(self):
+        # A replay that reproduces a NaN loss and NaN gradients bit for bit
+        # is a faithful replay; NaN != NaN must not demote the shape for good.
+        from repro.autograd import Tensor, functional as F
+        from repro.autograd.tape import Plan, Tape, tracing
+        from repro.federated.client import _PlanState, _verify_and_step
+        from repro.nn.linear import Linear
+        from repro.nn.optim import SGD
+
+        rng = np.random.default_rng(0)
+        model = Linear(4, 3, rng=rng)
+        model.weight.data[0, 0] = np.nan
+        images = Tensor(rng.standard_normal((5, 4)))
+        labels = np.array([0, 1, 2, 0, 1], dtype=np.int64)
+
+        def loss_fn(m, x, y):
+            return F.cross_entropy(m(x), y)
+
+        tape = Tape()
+        tape.register_dynamic("labels", labels)
+        tape.mark_input("images", images)
+        with tracing(tape):
+            loss = loss_fn(model, images, labels)
+        state = _PlanState(Plan(tape, loss))
+        assert np.isnan(loss.data)
+
+        optimizer = SGD(model.parameters(), lr=0.1)
+        optimizer.zero_grad()
+        _verify_and_step(state, model, {}, optimizer, loss_fn, images, labels)
+        assert state.verified and not state.bad

@@ -4,8 +4,8 @@ The contract under test is absolute: optimized replay is *bit-for-bit*
 identical to unoptimized replay (and hence to eager) — losses, every leaf
 gradient, dtype for dtype — while dropping dead records, fusing elementwise
 chains and serving intermediates plus gradient accumulators from reused
-buffers.  Anything weaker would change whole-run hashes and the run-cache
-fold of the ``plan_optimize`` knob would be wrong.
+buffers.  Anything weaker would change whole-run hashes and the
+unoptimized reference would stop being a reference.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import gc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.autograd import Tensor, functional as F
@@ -23,10 +23,8 @@ from repro.autograd.tape import (
     PlanCache,
     Tape,
     _FINGERPRINTS,
-    get_plan_optimize,
+    bits_equal,
     model_fingerprint,
-    plan_optimize_mode,
-    set_plan_optimize,
     tracing,
 )
 from repro.nn.linear import Linear
@@ -43,35 +41,32 @@ def _compile(build, optimize):
     return Plan(tape, loss, optimize=optimize), extras
 
 
+def _square_loss(tape):
+    w = Parameter(RNG.standard_normal((3, 3)))
+    x = Tensor(RNG.standard_normal((2, 3)))
+    tape.mark_input("x", x)
+    return ((x @ w) ** 2).sum(), None
+
+
+def _compile_default(build):
+    tape = Tape()
+    with tracing(tape):
+        loss, _ = build(tape)
+    return Plan(tape, loss)
+
+
 class TestOptimizeKnob:
     def test_default_on_and_mode_restores(self):
-        assert get_plan_optimize() is True
-        with plan_optimize_mode(False):
-            assert get_plan_optimize() is False
-            with plan_optimize_mode(True):
-                assert get_plan_optimize() is True
-            assert get_plan_optimize() is False
-        assert get_plan_optimize() is True
-
-    def test_set_returns_previous(self):
-        previous = set_plan_optimize(False)
-        try:
-            assert previous is True
-            assert get_plan_optimize() is False
-        finally:
-            set_plan_optimize(previous)
+        # Optimization is on by default and is chosen per plan: compiling an
+        # unoptimized plan leaves the next default plan optimized.
+        assert _compile_default(_square_loss).opt is not None
+        plan_off, _ = _compile(_square_loss, optimize=False)
+        assert plan_off.opt is None
+        assert _compile_default(_square_loss).opt is not None
 
     def test_plan_respects_explicit_override(self):
-        w = Parameter(RNG.standard_normal((3, 3)))
-
-        def build(tape):
-            x = Tensor(RNG.standard_normal((2, 3)))
-            tape.mark_input("x", x)
-            return ((x @ w) ** 2).sum(), None
-
-        with plan_optimize_mode(False):
-            plan_off, _ = _compile(build, optimize=None)
-            plan_forced, _ = _compile(build, optimize=True)
+        plan_off, _ = _compile(_square_loss, optimize=False)
+        plan_forced, _ = _compile(_square_loss, optimize=True)
         assert plan_off.opt is None
         assert plan_forced.opt is not None
 
@@ -103,11 +98,11 @@ class TestDeadCodeElimination:
         x2 = RNG.standard_normal((4, 4))
         loss_a, grads_a = plan_opt.execute({"x": x2})
         loss_b, grads_b = plan_ref.execute({"x": x2})
-        assert np.array_equal(loss_a, loss_b)
+        assert bits_equal(loss_a, loss_b)
         assert set(grads_a) == set(grads_b)
         for slot in grads_a:
             assert grads_a[slot].dtype == grads_b[slot].dtype
-            assert np.array_equal(grads_a[slot], grads_b[slot])
+            assert bits_equal(grads_a[slot], grads_b[slot])
 
     def test_nothing_dropped_when_everything_feeds_loss(self):
         w = Parameter(RNG.standard_normal((3, 3)))
@@ -163,9 +158,9 @@ class TestLivenessAndFusion:
         x2 = RNG.standard_normal((4, 4))
         loss_a, grads_a = plan_opt.execute({"x": x2})
         loss_b, grads_b = plan_ref.execute({"x": x2})
-        assert np.array_equal(loss_a, loss_b)
+        assert bits_equal(loss_a, loss_b)
         for slot in grads_b:
-            assert np.array_equal(grads_a[slot], grads_b[slot])
+            assert bits_equal(grads_a[slot], grads_b[slot])
 
     def test_env_entries_released_after_execute(self):
         plan, slots = self._diamond(optimize=True)
@@ -213,9 +208,9 @@ class TestBufferArena:
         x2 = RNG.standard_normal((4, 4))
         loss_a, grads_a = plan_opt.execute({"x": x2})
         loss_b, grads_b = plan_ref.execute({"x": x2})
-        assert np.array_equal(loss_a, loss_b)
+        assert bits_equal(loss_a, loss_b)
         for slot in grads_b:
-            assert np.array_equal(grads_a[slot], grads_b[slot])
+            assert bits_equal(grads_a[slot], grads_b[slot])
 
     def test_retained_activations_never_pooled(self):
         # exp stashes its *output* for the vjp (ctx.out), so its buffer must
@@ -238,9 +233,9 @@ class TestBufferArena:
         x2 = RNG.standard_normal((4, 4))
         loss_a, grads_a = plan.execute({"x": x2})
         loss_b, grads_b = plan_ref.execute({"x": x2})
-        assert np.array_equal(loss_a, loss_b)
+        assert bits_equal(loss_a, loss_b)
         for slot in grads_b:
-            assert np.array_equal(grads_a[slot], grads_b[slot])
+            assert bits_equal(grads_a[slot], grads_b[slot])
 
     def test_grad_buffer_layout_mirrors_unoptimized(self):
         # Matmul weight vjps (``a.T @ g``) come out F-contiguous, and
@@ -266,7 +261,7 @@ class TestBufferArena:
             _, grads_b = plan_ref.execute({"x": x2})
         for slot in grads_b:
             a, b = grads_a[slot], grads_b[slot]
-            assert np.array_equal(a, b)
+            assert bits_equal(a, b)
             assert a.flags.c_contiguous == b.flags.c_contiguous
             assert a.flags.f_contiguous == b.flags.f_contiguous
             # The observable contract: the same reduction over the same bits.
@@ -294,7 +289,7 @@ class TestBufferArena:
         plan_ref, _ = _compile(build, optimize=False)
         _, grads_ref = plan_ref.execute({"x": x2})
         for slot in grads_ref:
-            assert np.array_equal(grads_second[slot], grads_ref[slot])
+            assert bits_equal(grads_second[slot], grads_ref[slot])
 
 
 # Random-program property: the same op pool the tape parity test uses, plus a
@@ -337,6 +332,8 @@ class TestRandomProgramProperty:
         dead=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**16),
     )
+    # Overflows to inf and then NaN: identical bits that NaN != NaN hides.
+    @example(codes=["add1", "add1", "matmul0", "square", "exp", "exp"], dead=False, seed=0)
     def test_optimized_replay_bitwise_equals_unoptimized_and_eager(
         self, codes, dead, seed
     ):
@@ -357,23 +354,23 @@ class TestRandomProgramProperty:
         x2 = rng.standard_normal((4, 4))
         loss_a, grads_a = plan_opt.execute({"x": x2})
         loss_b, grads_b = plan_ref.execute({"x": x2})
-        assert np.array_equal(loss_a, loss_b)
+        assert bits_equal(loss_a, loss_b)
         assert set(grads_a) == set(grads_b)
         for slot in grads_b:
             assert grads_a[slot].dtype == grads_b[slot].dtype
-            assert np.array_equal(grads_a[slot], grads_b[slot])
+            assert bits_equal(grads_a[slot], grads_b[slot])
 
         p0.zero_grad(), p1.zero_grad()
         eager_loss = _run_program(codes, Tensor(x2), p0, p1, dead)
         if eager_loss.requires_grad:
             eager_loss.backward()
-        assert np.array_equal(loss_a, eager_loss.data)
+        assert bits_equal(loss_a, eager_loss.data)
         for param in (p0, p1):
             replayed = plan_opt.grad_for(param, grads_a)
             if param.grad is None:
                 assert replayed is None
             else:
-                assert np.array_equal(replayed, param.grad)
+                assert bits_equal(replayed, param.grad)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -411,10 +408,10 @@ class TestRandomProgramProperty:
         loss_b, grads_b = plan_ref.execute_batched(
             k, {"x": x_stack}, {slot: s.copy() for slot, s in stacks.items()}
         )
-        assert np.array_equal(loss_a, loss_b)
+        assert bits_equal(loss_a, loss_b)
         assert set(grads_a) == set(grads_b)
         for slot in grads_b:
-            assert np.array_equal(grads_a[slot], grads_b[slot])
+            assert bits_equal(grads_a[slot], grads_b[slot])
 
 
 class TestPlanCacheLRU:

@@ -286,6 +286,24 @@ class TestInferenceEngine:
             assert batch.version == info.version
             np.testing.assert_array_equal(batch.logits, direct)
 
+    def test_nan_logits_verify_the_forward_plan(self, tmp_path, tiny_backbone_config, rng):
+        # NaN logits replayed bit for bit are a faithful replay: the shape
+        # must go replay-only, not be demoted to eager because NaN != NaN.
+        method = _method(tiny_backbone_config)
+        registry = ModelRegistry(str(tmp_path))
+        state = method.build_model().state_dict()
+        name = next(k for k, v in state.items() if np.asarray(v).dtype.kind == "f")
+        state[name] = np.full_like(state[name], np.nan)
+        registry.publish(name=method.name, state=state, payload_codec=method.payload_codec())
+        engine = InferenceEngine(registry, method, kernel="tape")
+        engine.install()
+        size = tiny_backbone_config.image_size
+        images = rng.uniform(-1.0, 1.0, size=(4, 3, size, size))
+        for _ in range(2):  # trace, then verify
+            assert np.isnan(engine.predict(images).logits).any()
+        plan_state = engine._snapshot.plans.get((images.shape, str(images.dtype)))
+        assert plan_state.verified and not plan_state.bad
+
     def test_predict_before_install_raises(self, tmp_path, tiny_backbone_config):
         method = _method(tiny_backbone_config)
         engine = InferenceEngine(ModelRegistry(str(tmp_path)), method)

@@ -28,6 +28,7 @@ from repro.autograd.tape import (
     PlanError,
     PlanNotBatchable,
     Tape,
+    bits_equal,
     get_kernel,
     kernel_mode,
     model_fingerprint,
@@ -107,10 +108,10 @@ class TestPlanReplayParity:
         plan = self._trace(params, x_np, labels)
         loss_value, leaf_grads = plan.execute({"x": x_np})
         eager_loss, eager_grads = self._eager_grads(params, x_np, labels)
-        assert np.array_equal(loss_value, eager_loss)
+        assert bits_equal(loss_value, eager_loss)
         for param, expected in zip(params, eager_grads):
             replayed = plan.grad_for(param, leaf_grads)
-            assert np.array_equal(replayed, expected)
+            assert bits_equal(replayed, expected)
 
     def test_replay_with_new_batch_matches_fresh_eager(self):
         params = _fresh_params()
@@ -119,9 +120,9 @@ class TestPlanReplayParity:
         x2 = RNG.standard_normal((4, 3))
         loss_value, leaf_grads = plan.execute({"x": x2})
         eager_loss, eager_grads = self._eager_grads(params, x2, labels)
-        assert np.array_equal(loss_value, eager_loss)
+        assert bits_equal(loss_value, eager_loss)
         for param, expected in zip(params, eager_grads):
-            assert np.array_equal(plan.grad_for(param, leaf_grads), expected)
+            assert bits_equal(plan.grad_for(param, leaf_grads), expected)
 
     def test_replay_reads_live_param_values(self):
         # A replay after a parameter update must use the updated values, not
@@ -133,7 +134,7 @@ class TestPlanReplayParity:
         params[0].data = params[0].data - 0.5
         loss_value, _ = plan.execute({"x": x_np})
         eager_loss, _ = self._eager_grads(params, x_np, labels)
-        assert np.array_equal(loss_value, eager_loss)
+        assert bits_equal(loss_value, eager_loss)
 
     def test_apply_grads_mirrors_accumulate(self):
         params = _fresh_params()
@@ -147,7 +148,7 @@ class TestPlanReplayParity:
         plan.apply_grads(leaf_grads)
         plan.apply_grads(leaf_grads)  # second fold accumulates, like eager
         for param, expected in zip(params, eager_grads):
-            assert np.array_equal(param.grad, 2.0 * expected)
+            assert bits_equal(param.grad, 2.0 * expected)
 
 
 # The op pool for the random-program property test: every entry maps one
@@ -207,13 +208,13 @@ class TestRandomProgramProperty:
         if eager_loss.requires_grad:  # a program may never touch a parameter
             eager_loss.backward()
 
-        assert np.array_equal(loss_value, eager_loss.data)
+        assert bits_equal(loss_value, eager_loss.data)
         for param in (p0, p1):
             replayed = plan.grad_for(param, leaf_grads)
             if param.grad is None:
                 assert replayed is None
             else:
-                assert np.array_equal(replayed, param.grad)
+                assert bits_equal(replayed, param.grad)
 
 
 class TestPlanCacheKeying:
@@ -362,4 +363,4 @@ class TestGraphFreeing:
         loss.backward()
         first = x.grad.copy()
         loss.backward()  # freed graph: no parents left to traverse
-        assert np.array_equal(x.grad, first)  # nothing flows back twice
+        assert bits_equal(x.grad, first)  # nothing flows back twice
