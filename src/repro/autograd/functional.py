@@ -2,12 +2,13 @@
 
 These free functions are the building blocks used by :mod:`repro.nn` layers
 and by the RefFiL losses (cross-entropy, the GPL loss, the DPCL contrastive
-loss).  Convolution and pooling are implemented as primitive
-:class:`~repro.autograd.tape.Op`s with hand-written backward passes (im2col /
-col2im) because expressing them through elementary indexing ops would be
-prohibitively slow in pure Python; registering them as ops (rather than
-ad-hoc closures) makes them recordable on a tape and batchable over a
-leading client axis like every other operation.
+loss).  Convolution, pooling and training-mode batch norm are implemented
+as primitive :class:`~repro.autograd.tape.Op`s with hand-written backward
+passes (im2col / col2im, the closed-form batch-norm gradient) because
+expressing them through elementary ops would be prohibitively slow in pure
+Python; registering them as ops (rather than ad-hoc closures) makes them
+recordable on a tape and batchable over a leading client axis like every
+other operation.
 """
 
 from __future__ import annotations
@@ -135,30 +136,113 @@ def layer_norm(
     return normed
 
 
-def _bn_update_forward(ctx, mean, var, *, running_mean, running_var, momentum):
+# Training-mode batch norm is three recorded ops: BN_STATS computes the batch
+# statistics once, BN_UPDATE (an effect) folds them into the running buffers
+# and BATCH_NORM normalises with a closed-form vjp.  Each kernel reduces over
+# the N, H and W axes counted from the right, so the same code serves an
+# eager ``(N, C, H, W)`` batch and a lockstep ``(K, N, C, H, W)`` stack, whose
+# per-channel operands are ``(K, C)`` and statistics ``(K, 2, C)``.
+def _bn_channels(x):
+    """Broadcast shape of a per-channel operand against ``x``."""
+    return x.shape[:-4] + (1, x.shape[-3], 1, 1)
+
+
+def _bn_scale(x):
+    """``1 / (N * H * W)``: the reciprocal per-channel element count."""
+    return 1.0 / (x.shape[-4] * x.shape[-2] * x.shape[-1])
+
+
+def _channel_sum(a):
+    return a.reshape(a.shape[:-2] + (-1,)).sum(axis=-1).sum(axis=-2)
+
+
+def _channel_dot(a, b):
+    """Per-channel ``sum(a * b)`` without materialising the product."""
+    flat = a.shape[:-2] + (-1,)
+    return np.einsum("...ncl,...ncl->...c", a.reshape(flat), b.reshape(flat))
+
+
+def _bn_stats_forward(ctx, x):
+    scale = _bn_scale(x)
+    mean = _channel_sum(x) * scale
+    centred = x - mean.reshape(_bn_channels(x))
+    return np.stack([mean, _channel_dot(centred, centred) * scale], axis=-2)
+
+
+def _bn_update_forward(ctx, stats, *, running_mean, running_var, momentum):
     running_mean *= 1.0 - momentum
-    running_mean += momentum * mean.reshape(-1)
+    running_mean += momentum * stats[..., 0, :]
     running_var *= 1.0 - momentum
-    running_var += momentum * var.reshape(-1)
-    return mean
+    running_var += momentum * stats[..., 1, :]
+    return stats
 
 
-def _bn_update_batched_forward(ctx, info, mean, var, *, running_mean, running_var, momentum):
-    # Stacked buffers are (K, C); stacked stats are (K, 1, C, 1, 1).
-    running_mean *= 1.0 - momentum
-    running_mean += momentum * mean.reshape(running_mean.shape)
-    running_var *= 1.0 - momentum
-    running_var += momentum * var.reshape(running_var.shape)
-    return mean
+def _batch_norm_forward(ctx, x, stats, weight, bias, *, eps):
+    channels = _bn_channels(x)
+    inv = 1.0 / np.sqrt(stats[..., 1, :] + eps)
+    xhat = x - stats[..., 0, :].reshape(channels)
+    xhat *= inv.reshape(channels)
+    out = xhat * weight.reshape(channels)
+    out += bias.reshape(channels)
+    ctx.xhat, ctx.inv, ctx.weight = xhat, inv, weight
+    return out
 
+
+def _batch_norm_vjp(ctx, grad, needs):
+    # With xhat the normalised input and inv = 1 / sqrt(var + eps):
+    #   dx = w * inv * (g - mean(g) - xhat * mean(g * xhat)),
+    #   dw = sum(g * xhat),  db = sum(g)  (means and sums per channel).
+    xhat = ctx.xhat
+    channels, scale = _bn_channels(xhat), _bn_scale(xhat)
+    grad_sum = _channel_sum(grad)
+    grad_xhat_sum = _channel_dot(grad, xhat)
+    grad_x = None
+    if needs[0]:
+        grad_x = xhat * (-scale * grad_xhat_sum).reshape(channels)
+        grad_x += grad
+        grad_x -= (scale * grad_sum).reshape(channels)
+        grad_x *= (ctx.weight * ctx.inv).reshape(channels)
+    return (
+        grad_x,
+        None,
+        grad_xhat_sum if needs[2] else None,
+        grad_sum if needs[3] else None,
+    )
+
+
+def _rank_generic(kernel):
+    """A batched variant of a kernel that already handles the stacked rank."""
+
+    def batched(ctx, info, *arrays, **kwargs):
+        return kernel(ctx, *arrays, **kwargs)
+
+    return batched
+
+
+BN_STATS = Op(
+    "bn_stats",
+    _bn_stats_forward,
+    batch_rule="custom",
+    batched_forward=_rank_generic(_bn_stats_forward),
+    differentiable=False,
+)
 
 BN_UPDATE = Op(
     "bn_update",
     _bn_update_forward,
     batch_rule="custom",
-    batched_forward=_bn_update_batched_forward,
+    batched_forward=_rank_generic(_bn_update_forward),
     differentiable=False,
     effect=True,
+)
+
+BATCH_NORM = Op(
+    "batch_norm",
+    _batch_norm_forward,
+    _batch_norm_vjp,
+    batch_rule="custom",
+    batched_forward=_rank_generic(_batch_norm_forward),
+    batched_vjp=_batch_norm_vjp,
 )
 
 
@@ -179,18 +263,17 @@ def batch_norm_2d(
     tape replays keep updating them chronologically).
     """
     if training:
-        mean = x.mean(axis=(0, 2, 3), keepdims=True)
-        var = x.var(axis=(0, 2, 3), keepdims=True)
+        stats = apply_op(BN_STATS, (x,))
         apply_effect(
             BN_UPDATE,
-            (mean, var),
+            (stats,),
             running_mean=running_mean,
             running_var=running_var,
             momentum=momentum,
         )
-    else:
-        mean = Tensor(running_mean.reshape(1, -1, 1, 1))
-        var = Tensor(running_var.reshape(1, -1, 1, 1))
+        return apply_op(BATCH_NORM, (x, stats, weight, bias), eps=eps)
+    mean = Tensor(running_mean.reshape(1, -1, 1, 1))
+    var = Tensor(running_var.reshape(1, -1, 1, 1))
     normed = (x - mean) / (var + eps).sqrt()
     return normed * weight.reshape(1, -1, 1, 1) + bias.reshape(1, -1, 1, 1)
 

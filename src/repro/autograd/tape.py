@@ -21,7 +21,8 @@ On top of the op table sit three layers:
 * the batched engine — replays one plan for K clients at once by stacking
   parameters and batches along a leading axis.  Per-op batching follows one of
   three rules (``pad`` for elementwise/matmul broadcasting, ``axis`` for
-  axis-kwarg remapping, ``custom`` for conv/pool/indexing); ops without a rule
+  axis-kwarg remapping, ``custom`` for conv, pooling, batch norm and
+  indexing); ops without a rule
   (dropout's per-client rng stream) mark the plan unbatchable and callers fall
   back per client.
 
@@ -140,7 +141,7 @@ class Op:
     * ``"axis"`` — inputs keep their stacked shape ``(K,) + orig`` and
       ``batch_kwargs`` remaps axis-like kwargs by one position.
     * ``"custom"`` — ``batched_forward`` / ``batched_vjp`` implement the
-      vectorization directly (conv, pooling, fancy indexing).
+      vectorization directly (conv, pooling, batch norm, fancy indexing).
     * ``None`` — not batchable (dropout: per-client rng streams cannot run in
       lockstep); a plan containing such a record falls back per client.
     """

@@ -28,7 +28,7 @@ from repro.core.dpcl import DPCLConfig, decayed_temperature, dpcl_loss
 from repro.core.gpl import gpl_loss
 from repro.core.model import RefFiLModel
 from repro.core.prompts import GlobalPromptStore, LocalPromptCollector
-from repro.federated.client import ClientHandle
+from repro.federated.client import ClientHandle, finite_loss
 from repro.federated.communication import ClientUpdate
 from repro.nn.module import Parameter
 from repro.nn.optim import SGD
@@ -157,6 +157,7 @@ class RefFiLClientTrainer:
                     static_prompt,
                     collector if final_epoch else None,
                 )
+                finite_loss(breakdown.total, client)
                 loss.backward()
                 optimizer.step()
                 totals.accumulate(breakdown)

@@ -10,6 +10,10 @@ tasks accumulate:
 
 Old/New clients (one domain) take the single closest class prompt as
 positive; In-between clients (two domains) take the two closest.
+
+The loss is computed batch-wide: the store is stacked once into ``G (M, d)``
+and one ``(batch, M)`` cosine matrix serves every anchor, with the positives
+picked by a constant mask.
 """
 
 from __future__ import annotations
@@ -97,62 +101,35 @@ def dpcl_loss(
         raise ValueError("temperature must be positive")
     labels = np.asarray(labels, dtype=np.int64)
     pooled = local_prompts.mean(axis=1)  # (batch, d), differentiable
-    num_positives = _positive_count_for(group)
 
-    per_sample_losses = []
-    for index in range(pooled.shape[0]):
-        label = int(labels[index])
-        class_prompts = store.class_prompts(label)
-        negatives_pool = store.prompts_excluding(label)
-        if class_prompts.shape[0] == 0:
-            # No global knowledge about this class yet; skip the sample.
-            continue
-        anchor = pooled[index]  # (d,)
-        # Choose positives by cosine similarity against the (constant) globals.
-        anchor_values = anchor.data
-        similarities = _cosine_to_all(anchor_values, class_prompts)
-        take = min(num_positives, class_prompts.shape[0])
-        positive_idx = np.argsort(-similarities)[:take]
-        positives = class_prompts[positive_idx]
-        # Remaining same-class prompts join the negatives (they represent other domains).
-        remaining_idx = np.setdiff1d(np.arange(class_prompts.shape[0]), positive_idx)
-        negatives = class_prompts[remaining_idx]
-        if negatives_pool.shape[0] > 0:
-            negatives = (
-                np.concatenate([negatives, negatives_pool], axis=0)
-                if negatives.shape[0] > 0
-                else negatives_pool
-            )
-        if negatives.shape[0] == 0:
-            # Without negatives the InfoNCE ratio is degenerate; skip.
-            continue
-        pos_sim = F.cosine_similarity(
-            anchor.reshape(1, -1).broadcast_to((positives.shape[0], anchor_values.shape[0])),
-            Tensor(positives),
-        )
-        neg_sim = F.cosine_similarity(
-            anchor.reshape(1, -1).broadcast_to((negatives.shape[0], anchor_values.shape[0])),
-            Tensor(negatives),
-        )
-        pos_exp = (pos_sim * (1.0 / temperature)).exp().sum()
-        neg_exp = (neg_sim * (1.0 / temperature)).exp().sum()
-        per_sample_losses.append(-(pos_exp / (pos_exp + neg_exp)).log())
-
-    if not per_sample_losses:
+    # The store stacked once: G (M, d) with each row's owning class.
+    classes = sorted(store.representatives)
+    prompts = store.all_prompts()
+    owners = np.repeat(classes, [store.representatives[c].shape[0] for c in classes])
+    same_class = owners[None, :] == labels[:, None]  # (batch, M)
+    class_sizes = same_class.sum(axis=1)
+    take = np.minimum(_positive_count_for(group), class_sizes)
+    # Skip a sample whose class has no global prompts yet, or that would have
+    # no negatives left (the InfoNCE ratio is degenerate).
+    kept = np.flatnonzero((class_sizes > 0) & (take < prompts.shape[0]))
+    if kept.size == 0:
         return None
-    total = per_sample_losses[0]
-    for loss in per_sample_losses[1:]:
-        total = total + loss
-    return total * (1.0 / len(per_sample_losses))
 
+    # Positives: the class's prompts closest (by cosine) to the detached
+    # anchor; a stable sort lets the lowest index win ties.
+    unit_prompts = prompts / (np.sqrt((prompts * prompts).sum(axis=1, keepdims=True)) + 1e-12)
+    anchors = pooled.data[kept]
+    anchors = anchors / np.maximum(np.linalg.norm(anchors, axis=1, keepdims=True), 1e-12)
+    scores = np.where(same_class[kept], -(anchors @ unit_prompts.T), np.inf)
+    ranks = np.argsort(np.argsort(scores, axis=1, kind="stable"), axis=1)
+    positive = ranks < take[kept, None]  # (kept, M); other classes rank last
 
-def _cosine_to_all(anchor: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Plain-numpy cosine similarity of one vector against candidate rows."""
-    anchor_norm = anchor / max(np.linalg.norm(anchor), 1e-12)
-    candidate_norms = candidates / np.maximum(
-        np.linalg.norm(candidates, axis=1, keepdims=True), 1e-12
-    )
-    return candidate_norms @ anchor_norm
+    # Positives and negatives together are every prompt in the store, so
+    # -log(pos / (pos + neg)) = log(sum_all e^s) - log(sum_pos e^s).
+    logits = (F.l2_normalize(pooled[kept]) @ Tensor(unit_prompts.T)) * (1.0 / temperature)
+    scaled = logits.exp()
+    per_sample = scaled.sum(axis=1).log() - (scaled * Tensor(positive)).sum(axis=1).log()
+    return per_sample.mean()
 
 
 __all__ = ["DPCLConfig", "decayed_temperature", "dpcl_loss"]

@@ -51,6 +51,7 @@ from repro.federated.communication import (
 from repro.federated.client import (
     ClientHandle,
     LocalTrainingConfig,
+    NonFiniteLossError,
     ShardRef,
     VirtualClientSpec,
     run_local_sgd,
@@ -156,6 +157,7 @@ __all__ = [
     "simulation_state_hash",
     "ClientHandle",
     "LocalTrainingConfig",
+    "NonFiniteLossError",
     "ShardRef",
     "VirtualClientSpec",
     "VirtualClientPlane",

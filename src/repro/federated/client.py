@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional, Tuple
 
@@ -146,6 +147,43 @@ class ClientHandle:
 LossFn = Callable[[Module, Tensor, np.ndarray], Tensor]
 
 
+class NonFiniteLossError(FloatingPointError):
+    """A local step produced a NaN or infinite loss; training stops there.
+
+    Raised before that step's optimizer update, so the client's parameters
+    still hold the last finite state.  Carries the client, task and round the
+    step belonged to (``round_index`` is None when the handle has none).
+    """
+
+    def __init__(
+        self, client_id: int, task_id: int, round_index: Optional[int], loss: float
+    ) -> None:
+        super().__init__(client_id, task_id, round_index, loss)
+        self.client_id = client_id
+        self.task_id = task_id
+        self.round_index = round_index
+        self.loss = loss
+
+    def __str__(self) -> str:
+        return (
+            f"client {self.client_id} (task {self.task_id}, round {self.round_index}) "
+            f"produced a non-finite loss {self.loss!r}"
+        )
+
+
+def finite_loss(loss: float, client: ClientHandle) -> float:
+    """``loss`` unchanged, or :class:`NonFiniteLossError` if it is NaN/inf."""
+    if not math.isfinite(loss):
+        round_index = client.metadata.get("round_index")
+        raise NonFiniteLossError(
+            client.client_id,
+            client.task_id,
+            None if round_index is None else int(round_index),
+            loss,
+        )
+    return loss
+
+
 def run_local_sgd(
     model: Module,
     client: ClientHandle,
@@ -157,7 +195,8 @@ def run_local_sgd(
     ``loss_fn(model, images, labels)`` computes the method's total loss for a
     mini-batch; this is the hook through which Finetune (plain CE), FedLwF
     (CE + KD), FedEWC (CE + Fisher penalty) and the prompt methods all reuse
-    the same loop.
+    the same loop.  A step whose loss is not finite raises
+    :class:`NonFiniteLossError` before its optimizer update, under every kernel.
     """
     trainable = parameters if parameters is not None else model.parameters()
     trainable = [p for p in trainable if p.requires_grad]
@@ -178,8 +217,8 @@ def run_local_sgd(
             optimizer.zero_grad()
             loss = loss_fn(model, images, labels)
             loss.backward()
+            total_loss += finite_loss(float(loss.data), client)
             optimizer.step()
-            total_loss += float(loss.data)
             total_batches += 1
     return total_loss / max(total_batches, 1)
 
@@ -243,37 +282,37 @@ def _run_local_sgd_tape(
                     logger.debug("plan compile failed (%s); eager fallback", error)
                     plans.put(key, _PlanState(None))
                 loss.backward()
-                optimizer.step()
-                total_loss += float(loss.data)
+                loss_value = float(loss.data)
             elif state.bad:
                 loss = loss_fn(model, images, labels_np)
                 loss.backward()
-                optimizer.step()
-                total_loss += float(loss.data)
+                loss_value = float(loss.data)
             elif not state.verified:
-                total_loss += _verify_and_step(
-                    state, model, buffers, optimizer, loss_fn, images, labels_np
-                )
+                loss_value = _verify_step(state, model, buffers, loss_fn, images, labels_np)
             else:
                 bindings = {"labels": labels_np, "images": images.data}
-                loss_value, leaf_grads = state.plan.execute(bindings)
+                replayed, leaf_grads = state.plan.execute(bindings)
                 state.plan.apply_grads(leaf_grads)
-                optimizer.step()
-                total_loss += float(loss_value)
+                loss_value = float(replayed)
+            total_loss += finite_loss(loss_value, client)
+            optimizer.step()
             total_batches += 1
     return total_loss / max(total_batches, 1)
 
 
-def _verify_and_step(
+def _verify_step(
     state: _PlanState,
     model: Module,
     buffers: Dict[str, np.ndarray],
-    optimizer: SGD,
     loss_fn: LossFn,
     images: Tensor,
     labels_np: np.ndarray,
 ) -> float:
-    """Replay + eager on the same batch, compare exactly, step with eager grads."""
+    """Replay + eager on the same batch, compare exactly; returns the eager loss.
+
+    The eager step's gradients are left in ``param.grad`` for the caller's
+    optimizer step.
+    """
     plan = state.plan
     buffer_snapshot = {name: buf.copy() for name, buf in buffers.items()}
     rng_snapshots = [copy.deepcopy(g.bit_generator.state) for g in plan.rng_objects]
@@ -309,7 +348,6 @@ def _verify_and_step(
             "tape replay diverged from eager on verification batch; "
             "falling back to eager for this shape"
         )
-    optimizer.step()
     return float(loss.data)
 
 
@@ -318,5 +356,7 @@ __all__ = [
     "ShardRef",
     "VirtualClientSpec",
     "ClientHandle",
+    "NonFiniteLossError",
+    "finite_loss",
     "run_local_sgd",
 ]

@@ -49,7 +49,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.autograd.tape import Plan, PlanCache, PlanError, PlanNotBatchable, Tape, tracing
-from repro.federated.client import ClientHandle
+from repro.federated.client import ClientHandle, finite_loss
 from repro.federated.communication import ClientUpdate
 from repro.federated.method import FederatedMethod
 from repro.federated.server import BroadcastHandle
@@ -274,13 +274,18 @@ def _train_group_inner(
             }
             bindings.update(buffer_bindings)
             loss_vec, grads = entry.plan.execute_batched(k, bindings, entry.param_stacks)
+            loss_vec = np.asarray(loss_vec).reshape(k)
+            non_finite = np.flatnonzero(~np.isfinite(loss_vec))
+            if non_finite.size:
+                first = non_finite[0]
+                finite_loss(float(loss_vec[first]), group[first][1])
             named_grads = {
                 entry.slot_to_name[slot]: grad
                 for slot, grad in grads.items()
                 if slot in entry.slot_to_name
             }
             optimizer.step(param_stacks_by_name, named_grads)
-            loss_totals += np.asarray(loss_vec).reshape(k)
+            loss_totals += loss_vec
     finally:
         telemetry.plan_cache_hits += compiled.hits
         telemetry.plan_cache_misses += compiled.misses

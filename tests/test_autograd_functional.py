@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, functional as F
+from repro.autograd.functional import BATCH_NORM, BN_STATS, BN_UPDATE
 from repro.autograd.grad_check import check_gradient, numerical_gradient
+from repro.autograd.tape import BatchInfo, OpContext, Tape, tracing
 
 RNG = np.random.default_rng(42)
 
@@ -90,6 +92,100 @@ class TestLinearAndNorm:
         b = Tensor(RNG.standard_normal((3, 5)), requires_grad=True)
         assert check_gradient(lambda a, b: F.cosine_similarity(a, b).sum(), [a, b], wrt=0)
         assert check_gradient(lambda a, b: F.cosine_similarity(a, b).sum(), [a, b], wrt=1)
+
+
+class TestFusedBatchNorm:
+    """Training-mode batch norm: one statistics pass, one fused op whose
+    closed-form vjp matches finite differences, the running-stat formula and,
+    stacked over K clients, K separate eager calls."""
+
+    @staticmethod
+    def _inputs(rng, shape=(4, 3, 3, 2)):
+        x = Tensor(rng.standard_normal(shape) * 1.5 + 0.5, requires_grad=True)
+        w = Tensor(rng.uniform(0.5, 1.5, shape[1]), requires_grad=True)
+        b = Tensor(rng.standard_normal(shape[1]), requires_grad=True)
+        return x, w, b
+
+    def test_gradcheck_x_weight_bias(self):
+        rng = np.random.default_rng(5)
+        x, w, b = self._inputs(rng)
+        # A weighted sum: the plain sum of a batch-normalised map has a zero
+        # gradient with respect to x, which would check nothing.
+        upstream = Tensor(rng.standard_normal(x.shape))
+
+        def fn(x, w, b):
+            out = F.batch_norm_2d(x, w, b, np.zeros(3), np.ones(3), training=True)
+            return (out * upstream).sum()
+
+        for wrt in range(3):
+            assert check_gradient(fn, [x, w, b], wrt=wrt)
+
+    def test_running_stats_equal_composite_formula(self):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((5, 3, 4, 4)) * 2.0 + 1.0
+        running_mean, running_var = rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)
+        centred = x - x.mean(axis=(0, 2, 3), keepdims=True)
+        expected_mean = 0.7 * running_mean + 0.3 * x.mean(axis=(0, 2, 3))
+        expected_var = 0.7 * running_var + 0.3 * (centred * centred).mean(axis=(0, 2, 3))
+        F.batch_norm_2d(
+            Tensor(x),
+            Tensor(np.ones(3)),
+            Tensor(np.zeros(3)),
+            running_mean,
+            running_var,
+            training=True,
+            momentum=0.3,
+        )
+        np.testing.assert_allclose(running_mean, expected_mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(running_var, expected_var, rtol=0, atol=1e-12)
+
+    def test_records_one_stats_pass_one_update_one_fused_op(self):
+        x, w, b = self._inputs(np.random.default_rng(7))
+        tape = Tape()
+        with tracing(tape):
+            F.batch_norm_2d(x, w, b, np.zeros(3), np.ones(3), training=True)
+        assert [rec.op for rec in tape.records] == [BN_STATS, BN_UPDATE, BATCH_NORM]
+
+    def test_batched_kernels_match_k_eager_calls(self):
+        rng = np.random.default_rng(8)
+        k, shape, momentum = 3, (4, 3, 3, 2), 0.1
+        clients = [self._inputs(rng, shape) for _ in range(k)]
+        upstream = rng.standard_normal((k,) + shape)
+        running = [(rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)) for _ in range(k)]
+
+        eager = []
+        for (x, w, b), g, (mean, var) in zip(clients, upstream, running):
+            mean, var = mean.copy(), var.copy()
+            out = F.batch_norm_2d(x, w, b, mean, var, training=True, momentum=momentum)
+            (out * Tensor(g)).sum().backward()
+            eager.append((out.data, x.grad, w.grad, b.grad, mean, var))
+
+        xs, ws, bs = (np.stack([c[i].data for c in clients]) for i in range(3))
+        means = np.stack([m for m, _ in running])
+        variances = np.stack([v for _, v in running])
+
+        def info(*shapes):
+            return BatchInfo(k, shapes, None, (True,) * len(shapes), {})
+
+        stats = BN_STATS.batched_forward(OpContext(), info(shape), xs)
+        BN_UPDATE.batched_forward(
+            OpContext(),
+            info(stats.shape[1:]),
+            stats,
+            running_mean=means,
+            running_var=variances,
+            momentum=momentum,
+        )
+        ctx = OpContext()
+        out = BATCH_NORM.batched_forward(
+            ctx, info(shape, stats.shape[1:], (3,), (3,)), xs, stats, ws, bs, eps=1e-5
+        )
+        grads = BATCH_NORM.batched_vjp(ctx, upstream, (True, False, True, True))
+        assert grads[1] is None
+        batched = [out, grads[0], grads[2], grads[3], means, variances]
+        for kk, expected in enumerate(eager):
+            for got, want in zip(batched, expected):
+                np.testing.assert_allclose(got[kk], want, rtol=0, atol=1e-12)
 
 
 class TestConvolutionAndPooling:

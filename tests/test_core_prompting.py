@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autograd import Tensor
+from repro.autograd import Tensor, default_dtype, functional as F
 from repro.core import (
     CDAPConfig,
     CDAPGenerator,
@@ -25,6 +25,68 @@ from repro.federated.increment import ClientGroup
 from repro.models.backbone import PromptedBackbone
 
 RNG = np.random.default_rng(21)
+
+
+def _reference_dpcl_loss(local_prompts, labels, store, group, temperature):
+    """The per-sample DPCL loop ``dpcl_loss`` replaced, kept as a test oracle.
+
+    One InfoNCE term per anchor: positives are the ``1`` (``2`` for
+    In-between clients) closest class prompts, negatives every other prompt;
+    samples whose class has no prompts or that have no negatives are skipped.
+    The positive ranking asks for a stable sort explicitly: numpy's default
+    argsort may dispatch to a SIMD sort that does not keep the order of ties.
+    """
+    if store.is_empty:
+        return None
+    labels = np.asarray(labels, dtype=np.int64)
+    pooled = local_prompts.mean(axis=1)
+    num_positives = 2 if group is ClientGroup.IN_BETWEEN else 1
+
+    def cosine_to_all(anchor, candidates):
+        anchor_norm = anchor / max(np.linalg.norm(anchor), 1e-12)
+        candidate_norms = candidates / np.maximum(
+            np.linalg.norm(candidates, axis=1, keepdims=True), 1e-12
+        )
+        return candidate_norms @ anchor_norm
+
+    per_sample_losses = []
+    for index in range(pooled.shape[0]):
+        label = int(labels[index])
+        class_prompts = store.class_prompts(label)
+        negatives_pool = store.prompts_excluding(label)
+        if class_prompts.shape[0] == 0:
+            continue
+        anchor = pooled[index]
+        similarities = cosine_to_all(anchor.data, class_prompts)
+        take = min(num_positives, class_prompts.shape[0])
+        positive_idx = np.argsort(-similarities, kind="stable")[:take]
+        positives = class_prompts[positive_idx]
+        remaining_idx = np.setdiff1d(np.arange(class_prompts.shape[0]), positive_idx)
+        negatives = class_prompts[remaining_idx]
+        if negatives_pool.shape[0] > 0:
+            negatives = (
+                np.concatenate([negatives, negatives_pool], axis=0)
+                if negatives.shape[0] > 0
+                else negatives_pool
+            )
+        if negatives.shape[0] == 0:
+            continue
+        d = anchor.shape[0]
+        pos_sim = F.cosine_similarity(
+            anchor.reshape(1, -1).broadcast_to((positives.shape[0], d)), Tensor(positives)
+        )
+        neg_sim = F.cosine_similarity(
+            anchor.reshape(1, -1).broadcast_to((negatives.shape[0], d)), Tensor(negatives)
+        )
+        pos_exp = (pos_sim * (1.0 / temperature)).exp().sum()
+        neg_exp = (neg_sim * (1.0 / temperature)).exp().sum()
+        per_sample_losses.append(-(pos_exp / (pos_exp + neg_exp)).log())
+    if not per_sample_losses:
+        return None
+    total = per_sample_losses[0]
+    for loss in per_sample_losses[1:]:
+        total = total + loss
+    return total * (1.0 / len(per_sample_losses))
 
 
 class TestCDAPGenerator:
@@ -257,6 +319,96 @@ class TestDPCLLoss:
         prompts = Tensor(RNG.standard_normal((2, 2, 4)))
         # Class 2 has no global prompts and class 0 has no negatives -> loss is None.
         assert dpcl_loss(prompts, np.array([2, 2]), store, ClientGroup.NEW, 0.5) is None
+
+
+@st.composite
+def _dpcl_cases(draw):
+    """A store (some classes empty or single-prompt, rows possibly
+    duplicated), a batch of prompts with labels, a group and a temperature."""
+    num_classes = draw(st.integers(1, 4))
+    dim = draw(st.integers(2, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    representatives = {}
+    for label in range(num_classes):
+        size = draw(st.integers(0, 3))
+        if size == 0:
+            continue
+        rows = rng.standard_normal((size, dim))
+        if size > 1 and draw(st.booleans()):
+            rows[draw(st.integers(1, size - 1))] = rows[0]  # exact tie
+        representatives[label] = rows
+    batch = draw(st.integers(1, 6))
+    labels = rng.integers(0, num_classes, size=batch)
+    prompts = rng.standard_normal((batch, draw(st.integers(1, 3)), dim))
+    group = draw(st.sampled_from([ClientGroup.NEW, ClientGroup.OLD, ClientGroup.IN_BETWEEN]))
+    temperature = draw(st.floats(0.2, 1.0))
+    return num_classes, dim, representatives, prompts, labels, group, temperature
+
+
+class TestDPCLMatchesPerSampleReference:
+    """The batch-wide ``dpcl_loss`` against the per-sample loop it replaced."""
+
+    @staticmethod
+    def _loss_and_grad(fn, prompts, labels, store, group, temperature):
+        tensor = Tensor(prompts.copy(), requires_grad=True)
+        loss = fn(tensor, labels, store, group, temperature)
+        if loss is None:
+            return None, None
+        loss.backward()
+        return float(loss.data), tensor.grad
+
+    @given(_dpcl_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_loss_and_gradient_match_reference(self, case):
+        num_classes, dim, representatives, prompts, labels, group, temperature = case
+        store = GlobalPromptStore(num_classes=num_classes, embed_dim=dim)
+        store.replace(representatives)
+        with default_dtype(np.float64):
+            expected, expected_grad = self._loss_and_grad(
+                _reference_dpcl_loss, prompts, labels, store, group, temperature
+            )
+            actual, actual_grad = self._loss_and_grad(
+                dpcl_loss, prompts, labels, store, group, temperature
+            )
+        if expected is None:
+            assert actual is None
+            return
+        assert actual == pytest.approx(expected, abs=1e-10)
+        np.testing.assert_allclose(actual_grad, expected_grad, rtol=0, atol=1e-10)
+
+    def test_every_sample_skipped_returns_none_in_both(self):
+        # Class 0's single prompt is the whole store: no negatives remain;
+        # class 1 has no prompts at all.
+        store = GlobalPromptStore(num_classes=2, embed_dim=3)
+        store.replace({0: RNG.standard_normal((1, 3))})
+        prompts = Tensor(RNG.standard_normal((4, 2, 3)))
+        labels = np.array([0, 1, 0, 1])
+        for group in ClientGroup:
+            assert _reference_dpcl_loss(prompts, labels, store, group, 0.5) is None
+            assert dpcl_loss(prompts, labels, store, group, 0.5) is None
+
+    def test_cosine_ties_break_to_lowest_index(self):
+        # e1+e2 and e1+e3 are equally close to the anchor e1 but pull it in
+        # different directions, so which one is the positive shows in the
+        # gradient: both implementations must pick the lower row.
+        eye = np.eye(4)
+        prompts = np.tile(eye[0], (2, 1, 1))
+        labels = np.array([0, 0])
+        grads = []
+        for rows in ([eye[0] + eye[1], eye[0] + eye[2]], [eye[0] + eye[2], eye[0] + eye[1]]):
+            store = GlobalPromptStore(num_classes=2, embed_dim=4)
+            store.replace({0: np.stack(rows), 1: eye[3:]})
+            expected, expected_grad = self._loss_and_grad(
+                _reference_dpcl_loss, prompts, labels, store, ClientGroup.NEW, 0.7
+            )
+            actual, actual_grad = self._loss_and_grad(
+                dpcl_loss, prompts, labels, store, ClientGroup.NEW, 0.7
+            )
+            assert actual == pytest.approx(expected, abs=1e-10)
+            np.testing.assert_allclose(actual_grad, expected_grad, rtol=0, atol=1e-10)
+            grads.append(actual_grad)
+        assert not np.allclose(grads[0], grads[1])
 
 
 class TestGPLLoss:

@@ -302,9 +302,8 @@ class TestBitwiseVerifier:
         # is a faithful replay; NaN != NaN must not demote the shape for good.
         from repro.autograd import Tensor, functional as F
         from repro.autograd.tape import Plan, Tape, tracing
-        from repro.federated.client import _PlanState, _verify_and_step
+        from repro.federated.client import _PlanState, _verify_step
         from repro.nn.linear import Linear
-        from repro.nn.optim import SGD
 
         rng = np.random.default_rng(0)
         model = Linear(4, 3, rng=rng)
@@ -323,7 +322,142 @@ class TestBitwiseVerifier:
         state = _PlanState(Plan(tape, loss))
         assert np.isnan(loss.data)
 
-        optimizer = SGD(model.parameters(), lr=0.1)
-        optimizer.zero_grad()
-        _verify_and_step(state, model, {}, optimizer, loss_fn, images, labels)
+        _verify_step(state, model, {}, loss_fn, images, labels)
         assert state.verified and not state.bad
+
+
+def _nan_clients(image_size, nan_client, count=2, samples=16):
+    """Task-1, round-3 clients whose shards share a size; ``nan_client``'s
+    last-drawn sample is NaN, so its loss first turns non-finite on the last
+    step (a replay step under ``kernel="tape"``: step 1 traces, step 2
+    verifies)."""
+    from repro.datasets.base import ArrayDataset
+    from repro.federated.client import ClientHandle, LocalTrainingConfig
+    from repro.federated.increment import ClientGroup
+
+    clients = []
+    for client_id in range(count):
+        data_rng = np.random.default_rng(100 + client_id)
+        images = data_rng.uniform(0.0, 1.0, size=(samples, 3, image_size, image_size))
+        labels = data_rng.integers(0, 3, size=samples)
+        if client_id == nan_client:
+            order = np.arange(samples)
+            np.random.default_rng(200 + client_id).shuffle(order)  # the loader's draw
+            images[order[-1]] = np.nan
+        clients.append(
+            ClientHandle(
+                client_id=client_id,
+                task_id=1,
+                group=ClientGroup.NEW,
+                dataset=ArrayDataset(images, labels),
+                rng=np.random.default_rng(200 + client_id),
+                training=LocalTrainingConfig(local_epochs=1, batch_size=4, learning_rate=0.05),
+                metadata={"round_index": 3.0},
+            )
+        )
+    return clients
+
+
+def _all_finite(model) -> bool:
+    return all(np.isfinite(p.data).all() for p in model.parameters())
+
+
+class TestNonFiniteLoss:
+    """Every local loop raises NonFiniteLossError at the first step whose
+    loss is NaN/inf, before that step's optimizer update."""
+
+    @staticmethod
+    def _check(error, client_id):
+        assert error.client_id == client_id
+        assert error.task_id == 1
+        assert error.round_index == 3
+        assert not np.isfinite(error.loss)
+
+    @pytest.mark.parametrize("kernel", ["eager", "tape"])
+    def test_run_local_sgd_raises(self, tiny_backbone_config, kernel):
+        from repro.autograd import functional as F
+        from repro.autograd.tape import kernel_mode
+        from repro.federated import NonFiniteLossError, run_local_sgd
+
+        model = build_method("finetune", tiny_backbone_config, num_tasks=2).build_model()
+        (client,) = _nan_clients(tiny_backbone_config.image_size, 0, count=1)
+        with kernel_mode(kernel), pytest.raises(NonFiniteLossError) as raised:
+            run_local_sgd(model, client, lambda m, x, y: F.cross_entropy(m(x), y))
+        self._check(raised.value, 0)
+        assert _all_finite(model)
+
+    def test_batched_lockstep_raises(self, tiny_backbone_config):
+        from repro.autograd.tape import kernel_mode
+        from repro.federated import NonFiniteLossError
+        from repro.federated.server import FederatedServer
+
+        method = build_method("finetune", tiny_backbone_config, num_tasks=2)
+        model = method.build_model()
+        server = FederatedServer(model)
+        executor = build_executor("serial", kernel="batched")
+        clients = _nan_clients(tiny_backbone_config.image_size, 1)
+        with kernel_mode("batched"), pytest.raises(NonFiniteLossError) as raised:
+            executor.run_round(method, model, server.broadcast_view(), clients)
+        self._check(raised.value, 1)
+        assert executor.telemetry.plans_compiled == 1  # raised inside lockstep
+        assert _all_finite(model)
+
+    def test_refil_local_update_raises(self, tiny_backbone_config):
+        from repro.core.client import RefFiLClientTrainer
+        from repro.core.dpcl import DPCLConfig
+        from repro.core.model import RefFiLModel
+        from repro.core.prompts import GlobalPromptStore
+        from repro.federated import NonFiniteLossError
+
+        model = RefFiLModel(tiny_backbone_config, prompt_length=3, max_tasks=4)
+        store = GlobalPromptStore(tiny_backbone_config.num_classes, model.embed_dim)
+        (client,) = _nan_clients(tiny_backbone_config.image_size, 0, count=1)
+        with pytest.raises(NonFiniteLossError) as raised:
+            RefFiLClientTrainer(DPCLConfig()).local_update(model, store, client)
+        self._check(raised.value, 0)
+        assert _all_finite(model)
+
+    def test_error_survives_pickling(self):
+        # Parallel workers ship a failure to the coordinator by pickling it.
+        import pickle
+
+        from repro.federated import NonFiniteLossError
+
+        error = pickle.loads(pickle.dumps(NonFiniteLossError(4, 2, 7, float("inf"))))
+        assert (error.client_id, error.task_id, error.round_index, error.loss) == (
+            4,
+            2,
+            7,
+            float("inf"),
+        )
+        assert "client 4 (task 2, round 7)" in str(error)
+
+
+class TestFusedBatchNormUnderTape:
+    def test_resnet_tape_run_compiles_and_verifies_every_plan(
+        self, monkeypatch, tiny_backbone_config
+    ):
+        # Batch norm's stats op, running-stat effect and fused op must replay
+        # bit for bit: no plan may fail to compile or be demoted to eager.
+        from repro.autograd import functional as F
+        from repro.autograd.tape import kernel_mode
+        from repro.federated import client as client_mod
+
+        states = []
+
+        class RecordingState(client_mod._PlanState):
+            __slots__ = ()
+
+            def __init__(self, plan):
+                super().__init__(plan)
+                states.append(self)
+
+        monkeypatch.setattr(client_mod, "_PlanState", RecordingState)
+        model = build_method("finetune", tiny_backbone_config, num_tasks=2).build_model()
+        (client,) = _nan_clients(tiny_backbone_config.image_size, None, count=1)
+        with kernel_mode("tape"):
+            client_mod.run_local_sgd(model, client, lambda m, x, y: F.cross_entropy(m(x), y))
+        assert len(states) == 1
+        assert all(state.verified and not state.bad for state in states)
+        ops = [rec.op for rec in states[0].plan.records]
+        assert ops.count(F.BATCH_NORM) == ops.count(F.BN_STATS) == ops.count(F.BN_UPDATE) > 0
