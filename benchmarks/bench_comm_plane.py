@@ -2,7 +2,7 @@
 
 RefFiL's deployability argument is communication-bound: model weights plus
 per-class prompt groups ride every round.  This bench runs the same RefFiL
-workload through every wire codec of the loopback transport and records what
+workload through every wire codec of the transport and records what
 each one actually puts on the wire (the ledger's *measured* encoded frame
 lengths, not ``nbytes`` estimates) next to the accuracy it delivers:
 
@@ -11,8 +11,8 @@ lengths, not ``nbytes`` estimates) next to the accuracy it delivers:
 * ``quantize8`` / ``quantize16`` — uniform per-tensor quantization;
 * ``topk``     — upload-only magnitude sparsification of the weight diff.
 
-Asserted invariants: the lossless codecs reproduce the ``direct``
-(no-wire-format) accuracy matrix and round losses bit-for-bit, and
+Asserted invariants: the lossless ``delta`` codec reproduces the
+``identity`` accuracy matrix and round losses bit-for-bit, and
 ``quantize8`` cuts measured upload bytes by at least 4x vs. ``identity``
 (float64 weights become 1-byte codes).  Lossy codecs additionally report
 their accuracy delta next to their compression ratio — the trade the
@@ -25,9 +25,8 @@ Everything lands in the append-only ``comm_plane`` section of
 
 from __future__ import annotations
 
-import numpy as np
-
 from conftest import run_once  # noqa: F401  (bench suite convention)
+from repro.autograd import bits_equal
 from repro.continual.scenario import DomainIncrementalScenario
 from repro.core import RefFiLConfig, RefFiLMethod
 from repro.datasets.registry import build_dataset, get_dataset_spec
@@ -69,14 +68,11 @@ def _build_simulation(**federated_overrides) -> FederatedDomainIncrementalSimula
 
 
 def test_comm_plane_codecs(bench_record):
-    baseline = _build_simulation(transport="direct").run()
-
     per_codec = {}
     for codec in CODECS:
-        sim = _build_simulation(transport="loopback", codec=codec)
+        sim = _build_simulation(codec=codec)
         result = sim.run()
         ledger = result.communication
-        assert ledger.measured  # every round's bytes came from encoded frames
         # The ledger totals must be exactly the sum of the per-client frame
         # lengths it recorded — no estimate path anywhere.
         assert ledger.uploaded_bytes == sum(r.upload_bytes for r in ledger.records)
@@ -101,11 +97,10 @@ def test_comm_plane_codecs(bench_record):
             stats["avg_accuracy"] - identity["avg_accuracy"]
         )
 
-    # Lossless codecs are results-invariant: bit-for-bit against the no-wire
-    # transport, in both the accuracy matrix and the loss trajectory.
-    for codec in ("identity", "delta"):
-        np.testing.assert_array_equal(baseline.metrics.matrix, per_codec[codec]["matrix"])
-        assert baseline.round_losses == per_codec[codec]["round_losses"]
+    # Lossless codecs are results-invariant: delta is bit-for-bit identity,
+    # in both the accuracy matrix and the loss trajectory.
+    assert bits_equal(identity["matrix"], per_codec["delta"]["matrix"])
+    assert bits_equal(identity["round_losses"], per_codec["delta"]["round_losses"])
     # float64 weights as 1-byte codes: at least 4x less measured upload.
     assert per_codec["quantize8"]["upload_compression_x"] >= 4.0
     assert per_codec["quantize16"]["upload_compression_x"] >= 2.0
@@ -115,8 +110,7 @@ def test_comm_plane_codecs(bench_record):
     # the identity frame, stragglers dropped.
     frame = identity["upload_bytes"] // (NUM_TASKS * ROUNDS_PER_TASK * NUM_CLIENTS)
     straggler = _build_simulation(
-        transport="loopback", codec="identity",
-        bandwidth_limit=frame, drop_stragglers=True,
+        codec="identity", bandwidth_limit=frame, drop_stragglers=True,
     ).run()
 
     bench_record(

@@ -52,7 +52,6 @@ def test_fig2_pipeline_local_update(benchmark):
     print(f"\nFig.2 pipeline: one client local update over {client.num_samples} samples")
     print(f"  uploaded state arrays : {len(update.state_dict)}")
     print(f"  uploaded prompt groups: {len(update.payload['prompt_groups'])}")
-    print(f"  upload size           : {update.upload_bytes() / 1024:.1f} KiB")
     assert update.num_samples == client.num_samples
     assert update.payload["prompt_groups"]
 

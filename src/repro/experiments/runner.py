@@ -56,23 +56,20 @@ def _normalize_execution_knobs(federated: FederatedConfig) -> FederatedConfig:
     recorded ``round_eval_history``, so both stay in the key.  What remains
     here are the *conditional* folds, knobs inert only given other fields.
 
-    Communication-plane knobs follow the same rule: a *lossless* codec under
-    either transport trains the same numbers as no wire format at all (the
-    comm-plane suite asserts it bit-for-bit), so ``transport`` folds to
-    ``"loopback"`` and lossless codecs to ``"identity"``; a lossy codec or an
-    active bandwidth scenario (``bandwidth_limit > 0`` drops *or* defers
-    uploads, both of which change aggregation) genuinely changes the numbers
-    and stays in the key.  The ``direct`` transport never encodes, so its
-    codec/bandwidth knobs are inert and fold away entirely.  Caveat of
-    sharing: telemetry fields of the cached result (``wall_clock_seconds``,
-    the communication ledger) describe whichever variant ran first — use the
-    benches, not the run cache, to compare transports.
+    Communication-plane knobs follow the same rule: every *lossless* codec
+    trains the same numbers as ``identity`` (the comm-plane suite asserts
+    ``delta`` against it bit-for-bit), so lossless codecs fold to
+    ``"identity"``; a lossy codec or an active bandwidth scenario
+    (``bandwidth_limit > 0`` drops *or* defers uploads, both of which change
+    aggregation) genuinely changes the numbers and stays in the key.  Caveat
+    of sharing: telemetry fields of the cached result
+    (``wall_clock_seconds``, the communication ledger) describe whichever
+    variant ran first — use the benches, not the run cache, to compare
+    codecs.
     """
     codec = federated.codec
     bandwidth_limit = federated.bandwidth_limit
     drop_stragglers = federated.drop_stragglers
-    if federated.transport == "direct":
-        codec, bandwidth_limit, drop_stragglers = "identity", 0, False
     if bandwidth_limit == 0:
         drop_stragglers = False
         # Folding lossless codecs together is only valid while no bandwidth
@@ -138,7 +135,6 @@ def _normalize_execution_knobs(federated: FederatedConfig) -> FederatedConfig:
     return replace(
         reset_trajectory_free(federated),
         kernel=kernel,
-        transport="loopback",
         codec=codec,
         bandwidth_limit=bandwidth_limit,
         drop_stragglers=drop_stragglers,

@@ -59,13 +59,10 @@ from repro.federated.client import (
 from repro.federated.virtual import VirtualClientPlane
 from repro.federated.server import BroadcastHandle, FederatedServer
 from repro.federated.transport import (
-    DirectTransport,
     FrameCorruptionError,
     FrameDecodeError,
-    LoopbackTransport,
     Transport,
     TransportError,
-    build_transport,
     verify_frame,
 )
 from repro.federated.faults import FaultInjector, FaultSpec
@@ -135,9 +132,6 @@ __all__ = [
     "build_codec",
     "codec_is_lossless",
     "Transport",
-    "DirectTransport",
-    "LoopbackTransport",
-    "build_transport",
     "TransportError",
     "FrameCorruptionError",
     "FrameDecodeError",

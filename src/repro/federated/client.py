@@ -15,7 +15,7 @@ from repro.autograd.tensor import Tensor
 from repro.datasets.base import ArrayDataset, DataLoader
 from repro.federated.increment import ClientGroup
 from repro.nn.module import Module
-from repro.nn.optim import SGD
+from repro.nn.optim import SGD, check_sgd_hyperparameters
 from repro.utils.logging_utils import get_logger
 
 logger = get_logger(__name__)
@@ -37,8 +37,9 @@ class LocalTrainingConfig:
             raise ValueError("local_epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # NaN fails too
             raise ValueError("learning_rate must be positive")
+        check_sgd_hyperparameters(self.momentum, self.weight_decay, self.max_grad_norm)
 
 
 @dataclass(frozen=True)

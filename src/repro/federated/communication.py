@@ -4,7 +4,7 @@ RefFiL's pitch includes being deployable on "privacy-sensitive and
 resource-constrained devices", so communication volume is a first-class
 quantity here — not an ``nbytes`` estimate but the length of the encoded
 frame that would actually cross the wire.  The pieces fit together like
-this (the transports in :mod:`repro.federated.transport` drive them):
+this (the transport in :mod:`repro.federated.transport` drives them):
 
 * a :class:`WireFrame` is one encoded message (server→client broadcast or
   client→server upload); ``num_bytes`` is its measured size;
@@ -18,13 +18,12 @@ this (the transports in :mod:`repro.federated.transport` drive them):
   applies to prompts exactly as it does to model weights, instead of the
   payload riding as an opaque pickled dict;
 * the :class:`CommunicationLedger` accumulates per-round, per-client,
-  per-direction measured frame sizes (:class:`RoundCommRecord`), plus the
-  legacy estimate API for transports that never build frames.
+  per-direction measured frame sizes (:class:`RoundCommRecord`).
 
 Lossless codecs (``identity``, ``delta``) round-trip every array
 bit-exactly — the property-test suite enforces it over all dtypes and
-shapes — so simulations run through them produce accuracy matrices
-identical to runs without any wire format at all.
+shapes — so simulations run through either produce identical accuracy
+matrices.
 """
 
 from __future__ import annotations
@@ -70,26 +69,6 @@ class ClientUpdate:
     payload: Dict[str, Any] = field(default_factory=dict)
     train_loss: float = 0.0
     metrics: Dict[str, float] = field(default_factory=dict)
-
-    def upload_bytes(self) -> int:
-        """Approximate (``nbytes``) upload size; see the ledger for measured sizes."""
-        total = sum(np.asarray(value).nbytes for value in self.state_dict.values())
-        total += _payload_bytes(self.payload)
-        return total
-
-
-def _payload_bytes(payload: Any) -> int:
-    if isinstance(payload, np.ndarray):
-        return payload.nbytes
-    if isinstance(payload, dict):
-        return sum(_payload_bytes(value) for value in payload.values())
-    if isinstance(payload, (list, tuple)):
-        return sum(_payload_bytes(value) for value in payload)
-    if isinstance(payload, (int, float, bool)):
-        return 8
-    if isinstance(payload, str):
-        return len(payload.encode())
-    return 0
 
 
 # --------------------------------------------------------------------------- #
@@ -161,7 +140,7 @@ class ArrayCodec:
     ``lossless`` round-trip bit-exactly; lossy codecs preserve shape and
     dtype but not values.  ``broadcast_safe`` marks codecs usable on the
     server→client direction: sparsifying a *full model broadcast* against
-    nothing would destroy it, so ``topk`` is upload-only and transports fall
+    nothing would destroy it, so ``topk`` is upload-only and the transport falls
     back to ``identity`` frames downlink.
     """
 
@@ -334,7 +313,7 @@ class TopKCodec(ArrayCodec):
     keeps its reference values everywhere else.  Without a reference (or for
     non-float arrays) the array ships dense — sparsifying a message the
     receiver has no base for would destroy it, which is also why the codec
-    is not ``broadcast_safe``: transports send full ``identity`` frames
+    is not ``broadcast_safe``: the transport sends full ``identity`` frames
     downlink and sparsify only the uplink, as gradient-sparsification
     systems do.
     """
@@ -414,7 +393,7 @@ def build_codec(spec: str) -> ArrayCodec:
 
 
 def codec_is_lossless(spec: str) -> bool:
-    """True when runs through this codec reproduce no-wire numbers bit-for-bit."""
+    """True when runs through this codec reproduce ``identity`` numbers bit-for-bit."""
     return build_codec(spec).lossless
 
 
@@ -548,23 +527,16 @@ class RoundCommRecord:
 class CommunicationLedger:
     """Accumulates per-round communication volume for a whole run.
 
-    Two recording paths feed it:
-
-    * :meth:`record_measured_round` — the wire-format path: per-client
-      :class:`FrameRecord` sizes measured from actual encoded frames
-      (``measured_rounds`` counts these, ``records`` keeps the detail);
-    * :meth:`record_round` — the legacy estimate path (``nbytes`` sums) kept
-      for transport-less server use and the ``direct`` transport.  Broadcast
-      is charged per *selected* client (``num_selected``), not per reporting
-      client: a straggler that never uploads still received its download.
+    The transport feeds it through :meth:`record_measured_round`: per-client
+    :class:`FrameRecord` sizes measured from actual encoded frames
+    (``records`` keeps the detail).  Broadcast is charged per *selected*
+    client, not per reporting client: a straggler that never uploads still
+    received its download.
     """
 
     uploaded_bytes: int = 0
     broadcast_bytes: int = 0
     rounds: int = 0
-    per_round: List[Dict[str, int]] = field(default_factory=list)
-    measured_rounds: int = 0
-    estimated_rounds: int = 0
     dropped_upload_bytes: int = 0
     dropped_uploads: int = 0
     deferred_uploads: int = 0
@@ -583,25 +555,6 @@ class CommunicationLedger:
     edge_lost_frames: int = 0
     edge_corrupt_frames: int = 0
 
-    def record_round(
-        self,
-        updates: List[ClientUpdate],
-        broadcast_state: Dict[str, np.ndarray],
-        broadcast_payload: Optional[Dict[str, Any]] = None,
-        num_selected: Optional[int] = None,
-    ) -> None:
-        """Account one round from ``nbytes`` estimates (no frames were built)."""
-        upload = sum(update.upload_bytes() for update in updates)
-        broadcast_one = sum(np.asarray(v).nbytes for v in broadcast_state.values())
-        broadcast_one += _payload_bytes(broadcast_payload or {})
-        receivers = num_selected if num_selected is not None else max(len(updates), 1)
-        broadcast = broadcast_one * receivers
-        self.uploaded_bytes += upload
-        self.broadcast_bytes += broadcast
-        self.rounds += 1
-        self.estimated_rounds += 1
-        self.per_round.append({"upload": upload, "broadcast": broadcast})
-
     def record_measured_round(self, record: RoundCommRecord) -> None:
         """Account one round from measured wire-frame lengths."""
         self.uploaded_bytes += record.upload_bytes
@@ -612,10 +565,6 @@ class CommunicationLedger:
         self.lost_frames += sum(1 for f in record.upload_frames if f.status == "lost")
         self.corrupt_frames += sum(1 for f in record.upload_frames if f.status == "corrupt")
         self.rounds += 1
-        self.measured_rounds += 1
-        self.per_round.append(
-            {"upload": record.upload_bytes, "broadcast": record.broadcast_bytes}
-        )
         self.records.append(record)
 
     def record_expired_uploads(self, count: int) -> None:
@@ -634,16 +583,8 @@ class CommunicationLedger:
                 self.edge_corrupt_frames += 1
 
     @property
-    def measured(self) -> bool:
-        """True when every recorded round came from actual encoded frames."""
-        return self.measured_rounds > 0 and self.estimated_rounds == 0
-
-    @property
     def total_bytes(self) -> int:
         return self.uploaded_bytes + self.broadcast_bytes + self.edge_bytes
-
-    def mean_upload_per_round(self) -> float:
-        return self.uploaded_bytes / self.rounds if self.rounds else 0.0
 
 
 __all__ = [

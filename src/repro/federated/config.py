@@ -94,30 +94,23 @@ class FederatedConfig:
         reused for) the accuracy matrix's after-task evaluation: the two
         coincide only for methods whose ``on_task_end`` leaves the inference
         path untouched.
-    transport:
-        How broadcasts and uploads move (:mod:`repro.federated.transport`):
-        ``"loopback"`` (default) encodes every message into a real wire frame
-        through ``codec``, records *measured* frame lengths in the
-        communication ledger, and decodes before training/aggregation;
-        ``"direct"`` passes objects straight through with the legacy
-        ``nbytes``-estimate ledger (zero overhead, zero wire fidelity).
     codec:
-        Wire codec of the loopback transport: ``"identity"`` (raw pickle) and
-        ``"delta"`` (sparse diff vs. the last acknowledged broadcast) are
-        lossless — results are bit-for-bit identical to ``"direct"``;
-        ``"quantize8"`` / ``"quantize16"`` (uniform per-tensor quantization)
-        and ``"topk"`` / ``"topk:<fraction>"`` (upload-only magnitude
-        sparsification) trade accuracy for bytes.  Ignored when
-        ``transport="direct"``.
+        Wire codec every broadcast and upload frame is encoded with
+        (:mod:`repro.federated.transport`; the ledger records the measured
+        frame lengths): ``"identity"`` (raw pickle) and ``"delta"`` (sparse
+        diff vs. the last acknowledged broadcast) are lossless — results are
+        bit-for-bit identical to each other; ``"quantize8"`` /
+        ``"quantize16"`` (uniform per-tensor quantization) and ``"topk"`` /
+        ``"topk:<fraction>"`` (upload-only magnitude sparsification) trade
+        accuracy for bytes.
     bandwidth_limit:
         Per-round uplink byte budget per client; ``0`` (default) is
         unlimited.  Each client's effective budget is the limit scaled by a
         deterministic per-client multiplier (drawn from the run seed), so
         some clients are structurally slow — the constrained-device
-        straggler scenario.  Requires ``transport="loopback"`` and
-        ``mode="sync"`` (the event-driven modes model slow uplinks through
-        ``device_profile`` link rates instead; a per-round budget is a
-        synchronous-cohort concept).
+        straggler scenario.  Requires ``mode="sync"`` (the event-driven
+        modes model slow uplinks through ``device_profile`` link rates
+        instead; a per-round budget is a synchronous-cohort concept).
     drop_stragglers:
         What happens to an upload frame over its client's budget: ``True``
         drops it (the update never aggregates; the download was still
@@ -169,10 +162,9 @@ class FederatedConfig:
         probabilities, per-round worker-kill probability, and a periodic
         simulated server restart.  The default all-zero spec never constructs
         an injector — the zero-fault path is bit-for-bit identical to a build
-        without the fault plane.  Frame faults (loss/corruption) require
-        ``transport="loopback"``; there is no wire to fault on ``"direct"``.
+        without the fault plane.
     retries:
-        Upload retry budget of the loopback transport: a lost or corrupt
+        Upload retry budget of the transport: a lost or corrupt
         frame is retransmitted up to this many times (``retries + 1`` total
         attempts) before the update falls to the drop/defer straggler rules.
         Every attempt's bytes are charged to the ledger; the backoff waits
@@ -249,8 +241,7 @@ class FederatedConfig:
         their parents (edge→root bytes measured in the ledger, CRC + bounded
         retries on every hop).  Tree and flat agree to float tolerance, not
         bit-for-bit: flat normalizes weights before accumulating, the tree
-        sums partials and divides once at the root.  Requires
-        ``transport="loopback"`` (edge hops need a wire to ride).
+        sums partials and divides once at the root.
     tree_fanout:
         Children per aggregator node of the reduce tree (≥ 2).  A cohort no
         larger than the fan-out degenerates to a single root reduce with zero
@@ -278,7 +269,6 @@ class FederatedConfig:
     kernel: str = "eager"
     eval_executor: str = _trajectory_free("serial")
     eval_every: int = 0
-    transport: str = "loopback"
     codec: str = "identity"
     bandwidth_limit: int = 0
     drop_stragglers: bool = False
@@ -308,8 +298,10 @@ class FederatedConfig:
             raise ValueError("clients_per_round must be at least 1")
         if self.rounds_per_task < 1:
             raise ValueError("rounds_per_task must be at least 1")
-        if self.partition_concentration <= 0:
+        if not self.partition_concentration > 0:  # NaN fails too
             raise ValueError("partition_concentration must be positive")
+        if self.eval_batch_size < 1:
+            raise ValueError("eval_batch_size must be at least 1")
         if self.executor not in ("serial", "parallel"):
             raise ValueError(f"executor must be 'serial' or 'parallel', got {self.executor!r}")
         if self.num_workers < 0:
@@ -330,18 +322,9 @@ class FederatedConfig:
             )
         if self.eval_every < 0:
             raise ValueError("eval_every must be non-negative (0 disables mid-task evaluation)")
-        if self.transport not in ("direct", "loopback"):
-            raise ValueError(
-                f"transport must be 'direct' or 'loopback', got {self.transport!r}"
-            )
         build_codec(self.codec)  # raises ValueError on an unknown codec spec
         if self.bandwidth_limit < 0:
             raise ValueError("bandwidth_limit must be non-negative (0 means unlimited)")
-        if self.bandwidth_limit > 0 and self.transport != "loopback":
-            raise ValueError(
-                "bandwidth_limit requires transport='loopback' (the direct "
-                "transport never builds the frames a budget would apply to)"
-            )
         if self.bandwidth_limit > 0 and self.mode != "sync":
             raise ValueError(
                 "bandwidth_limit requires mode='sync': the event-driven modes "
@@ -363,22 +346,15 @@ class FederatedConfig:
             raise ValueError(
                 "buffer_size must be non-negative (0 means clients_per_round)"
             )
-        if self.staleness_decay < 0:
+        if not self.staleness_decay >= 0:
             raise ValueError("staleness_decay must be non-negative (0 disables decay)")
-        if self.sim_time_limit < 0:
+        if not self.sim_time_limit >= 0:
             raise ValueError("sim_time_limit must be non-negative (0 means unlimited)")
         if not isinstance(self.faults, FaultSpec):
             raise ValueError(f"faults must be a FaultSpec, got {type(self.faults).__name__}")
-        if (
-            self.faults.upload_loss_rate > 0.0 or self.faults.upload_corruption_rate > 0.0
-        ) and self.transport != "loopback":
-            raise ValueError(
-                "upload loss/corruption faults require transport='loopback' "
-                "(the direct transport never builds the frames a fault would hit)"
-            )
         if self.retries < 0:
             raise ValueError("retries must be non-negative (0 means a single attempt)")
-        if self.retry_backoff < 0:
+        if not self.retry_backoff >= 0:
             raise ValueError("retry_backoff must be non-negative (0 retries instantly)")
         if self.checkpoint_every < 0:
             raise ValueError(
@@ -428,11 +404,6 @@ class FederatedConfig:
         if self.reduce_backend not in ("flat", "tree"):
             raise ValueError(
                 f"reduce_backend must be 'flat' or 'tree', got {self.reduce_backend!r}"
-            )
-        if self.reduce_backend == "tree" and self.transport != "loopback":
-            raise ValueError(
-                "reduce_backend='tree' requires transport='loopback' (edge "
-                "aggregators ship their partial reduces as wire frames)"
             )
         if self.tree_fanout < 2:
             raise ValueError("tree_fanout must be at least 2")

@@ -701,7 +701,7 @@ class RoundIPC:
     shared bytes), so all three byte fields are comparable measures of actual
     cross-process traffic.  ``num_messages`` is that message count, so
     ``broadcast_bytes / num_messages`` recovers the single broadcast blob
-    length — under the loopback transport's ``identity`` codec that blob *is*
+    length — under the transport's ``identity`` codec that blob *is*
     the per-client broadcast wire frame, which is how the
     :class:`~repro.federated.communication.CommunicationLedger` and this log
     reconcile exactly where both observe the same traffic.  Failed rounds are

@@ -49,8 +49,8 @@ class FederatedServer:
 
     The server owns the canonical global model state, broadcasts it (plus any
     method-specific payload such as clustered global prompts) to selected
-    clients, aggregates their updates with FedAvg and tracks communication
-    volume.
+    clients, aggregates their updates with FedAvg and holds the communication
+    ledger the transport records measured wire frames into.
     """
 
     def __init__(self, model: Module, reduce_backend: Optional[ReduceBackend] = None) -> None:
@@ -65,11 +65,6 @@ class FederatedServer:
         self.reduce_backend: ReduceBackend = (
             reduce_backend if reduce_backend is not None else FlatReduceBackend()
         )
-        #: When True (standalone server use), :meth:`aggregate` records an
-        #: estimate-based ledger round itself.  A transport
-        #: (:mod:`repro.federated.transport`) owns the ledger instead — it
-        #: records measured wire frames per direction — and switches this off.
-        self.ledger_autorecord = True
         self.round_counter = 0
         self._broadcast_handle: Optional[BroadcastHandle] = None
         self._aggregation_scale: Optional[Sequence[float]] = None
@@ -129,8 +124,6 @@ class FederatedServer:
         self._aggregation_scale = None  # a scope covers exactly one aggregation
         self.global_state = new_state
         self.model.load_state_dict(new_state)
-        if self.ledger_autorecord:
-            self.ledger.record_round(updates, new_state, self.broadcast_payload)
         self.round_counter += 1
         self._broadcast_handle = None
         return new_state

@@ -67,7 +67,7 @@ from repro.federated.sampling import (
 )
 from repro.federated.server import FederatedServer
 from repro.federated.virtual import VirtualClientPlane
-from repro.federated.transport import _flatten_message, _split_message, build_transport
+from repro.federated.transport import Transport, _flatten_message, _split_message
 from repro.serving.engine import InferenceEngine
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import ServingFrontEnd
@@ -167,13 +167,11 @@ class FederatedDomainIncrementalSimulation:
             FaultInjector(config.seed, config.faults) if config.faults.enabled else None
         )
         # The communication plane: every round's broadcast and uploads move
-        # through the transport, which owns the server's ledger (measured
-        # wire frames on the loopback transport, the legacy estimate on the
-        # direct one) — so the server must not also record estimate rounds.
-        self.transport = build_transport(
-            config.transport,
-            config.codec,
+        # through the transport as wire frames, and the transport records
+        # their measured lengths in the server's ledger.
+        self.transport = Transport(
             ledger=self.server.ledger,
+            codec=build_codec(config.codec),
             payload_codec=method.payload_codec(),
             seed=config.seed,
             bandwidth_limit=config.bandwidth_limit,
@@ -182,7 +180,6 @@ class FederatedDomainIncrementalSimulation:
             retry_backoff=config.retry_backoff,
             faults=self.fault_injector,
         )
-        self.server.ledger_autorecord = False
         # The aggregation topology: the default flat star is the historical
         # bit-for-bit path; the tree backend reduces through edge aggregators
         # whose partials ride the same codec'd wire frames as uploads (edge

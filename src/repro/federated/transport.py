@@ -1,7 +1,9 @@
-"""Pluggable transports: how broadcasts and uploads actually move.
+"""The wire transport: how broadcasts and uploads actually move.
 
-A :class:`Transport` sits between the simulation loop and the server on both
-directions of every communication round:
+The :class:`Transport` sits between the simulation loop and the server on
+both directions of every communication round, and every message it carries
+is really encoded through the configured
+:class:`~repro.federated.communication.ArrayCodec`:
 
 * :meth:`Transport.broadcast_round` turns the server's global state (plus the
   method's broadcast payload) into per-client wire frames, records their
@@ -15,18 +17,10 @@ directions of every communication round:
   stragglers), decodes what arrives, and hands the surviving updates to
   aggregation — decode-before-aggregate.
 
-Two implementations:
-
-* :class:`DirectTransport` (``transport="direct"``) — no frames at all:
-  objects pass straight through and the ledger falls back to the legacy
-  ``nbytes`` estimate.  Zero overhead, zero measurement fidelity.
-* :class:`LoopbackTransport` (``transport="loopback"``, the default) — every
-  message is really encoded through the configured
-  :class:`~repro.federated.communication.ArrayCodec`; ledger numbers are
-  actual frame lengths.  The ``identity`` codec short-circuits the decode
-  (its round-trip is the pickle the executor already performs), so the
-  default configuration is bit-for-bit and allocation-identical to the
-  pre-transport engine while still measuring real frames.
+The ``identity`` codec short-circuits the decode (its round-trip is the
+pickle the executor already performs), so the default configuration trains
+from the server's own objects, bit-for-bit, while the ledger still records
+the length of every real frame.
 
 Delta acknowledgements: the downlink ``delta`` codec encodes each client's
 frame against the last broadcast that client received (clients selected in
@@ -63,8 +57,6 @@ from repro.federated.communication import (
     RoundCommRecord,
     TreePayloadCodec,
     WireFrame,
-    _payload_bytes,
-    build_codec,
     decode_frame,
     encode_frame,
 )
@@ -168,104 +160,9 @@ def _split_message(
     return state, payload_codec.unflatten(payload_arrays, skeleton)
 
 
-class Transport:
-    """Strategy moving one round's broadcast and uploads; see module docstring."""
-
-    name: str = "abstract"
-
-    def __init__(self, ledger: CommunicationLedger) -> None:
-        self.ledger = ledger
-        #: Per-client byte sizes of the most recent broadcast / upload cycle —
-        #: measured frame lengths on the loopback transport, the ``nbytes``
-        #: estimate on the direct one.  The temporal plane's cost model reads
-        #: these to turn each client's traffic into simulated transfer time:
-        #: ``last_broadcast_bytes`` is (re)written by every
-        #: :meth:`broadcast_round`, ``last_upload_bytes`` by every
-        #: :meth:`collect_updates` (covering the updates handed to that call,
-        #: including any the bandwidth scenario then dropped or deferred —
-        #: the client paid for the transfer either way).
-        self.last_broadcast_bytes: Dict[int, int] = {}
-        self.last_upload_bytes: Dict[int, int] = {}
-        #: Per-client simulated seconds of retry backoff accumulated in the
-        #: most recent :meth:`collect_updates` — zero everywhere unless the
-        #: fault plane lost or corrupted attempts.  The temporal plane adds
-        #: these to the client's cycle cost.
-        self.last_penalty_seconds: Dict[int, float] = {}
-
-    def broadcast_round(
-        self,
-        server: FederatedServer,
-        selected: Sequence[int],
-        task_id: int,
-        round_index: int,
-    ) -> BroadcastHandle:
-        """Deliver the round's broadcast; returns the handle clients train from."""
-        raise NotImplementedError
-
-    def collect_updates(self, updates: List[ClientUpdate]) -> List[ClientUpdate]:
-        """Deliver the round's uploads; returns the updates that reach aggregation."""
-        raise NotImplementedError
-
-    def finalize(self) -> None:
-        """Account anything still in flight when the run ends (idempotent)."""
-
-    def restart(self) -> None:
-        """Simulate a server process restart: drop protocol soft state.
-
-        Durable state (the model, the ledger, the method) survives a restart
-        only through checkpoints; what a transport loses is its in-memory
-        session state — delta acknowledgements, deferred uploads.  The base
-        transport holds none.
-        """
-
-    def state_dict(self) -> Dict[str, Any]:
-        """Snapshot the transport's session state for a checkpoint."""
-        return {
-            "last_broadcast_bytes": dict(self.last_broadcast_bytes),
-            "last_upload_bytes": dict(self.last_upload_bytes),
-            "last_penalty_seconds": dict(self.last_penalty_seconds),
-        }
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        """Restore a :meth:`state_dict` snapshot."""
-        self.last_broadcast_bytes = dict(state["last_broadcast_bytes"])
-        self.last_upload_bytes = dict(state["last_upload_bytes"])
-        self.last_penalty_seconds = dict(state["last_penalty_seconds"])
-
-
-class DirectTransport(Transport):
-    """No wire format: pass-through objects, ledger from ``nbytes`` estimates."""
-
-    name = "direct"
-
-    def __init__(self, ledger: CommunicationLedger) -> None:
-        super().__init__(ledger)
-        self._pending: Optional[Tuple[int, Dict[str, np.ndarray], Any]] = None
-
-    def broadcast_round(self, server, selected, task_id, round_index):
-        handle = server.broadcast_view()
-        self._pending = (len(selected), server.global_state, server.broadcast_payload)
-        broadcast_one = sum(
-            np.asarray(value).nbytes for value in server.global_state.values()
-        ) + _payload_bytes(server.broadcast_payload)
-        self.last_broadcast_bytes = {client_id: broadcast_one for client_id in selected}
-        return handle
-
-    def collect_updates(self, updates):
-        if self._pending is None:
-            raise RuntimeError("collect_updates called before broadcast_round")
-        num_selected, state, payload = self._pending
-        self._pending = None
-        self.last_upload_bytes = {
-            update.client_id: update.upload_bytes() for update in updates
-        }
-        self.ledger.record_round(updates, state, payload, num_selected=num_selected)
-        return updates
-
-
 @dataclass
 class _PendingRound:
-    """Everything :meth:`LoopbackTransport.collect_updates` needs from broadcast time."""
+    """Everything :meth:`Transport.collect_updates` needs from broadcast time."""
 
     task_id: int
     round_index: int
@@ -284,10 +181,8 @@ class _DeferredUpload:
     num_bytes: int
 
 
-class LoopbackTransport(Transport):
+class Transport:
     """In-process wire transport: encode, measure, decode every message."""
-
-    name = "loopback"
 
     def __init__(
         self,
@@ -301,7 +196,22 @@ class LoopbackTransport(Transport):
         retry_backoff: float = 0.5,
         faults=None,
     ) -> None:
-        super().__init__(ledger)
+        self.ledger = ledger
+        #: Per-client measured frame lengths of the most recent broadcast /
+        #: upload cycle.  The temporal plane's cost model reads these to turn
+        #: each client's traffic into simulated transfer time:
+        #: ``last_broadcast_bytes`` is (re)written by every
+        #: :meth:`broadcast_round`, ``last_upload_bytes`` by every
+        #: :meth:`collect_updates` (covering the updates handed to that call,
+        #: including any the bandwidth scenario then dropped or deferred —
+        #: the client paid for the transfer either way).
+        self.last_broadcast_bytes: Dict[int, int] = {}
+        self.last_upload_bytes: Dict[int, int] = {}
+        #: Per-client simulated seconds of retry backoff accumulated in the
+        #: most recent :meth:`collect_updates` — zero everywhere unless the
+        #: fault plane lost or corrupted attempts.  The temporal plane adds
+        #: these to the client's cycle cost.
+        self.last_penalty_seconds: Dict[int, float] = {}
         self.codec = codec
         # Sparsifying a full-model broadcast against nothing would destroy
         # it; non-broadcast-safe codecs (topk) ride identity frames downlink
@@ -342,7 +252,14 @@ class LoopbackTransport(Transport):
     # ------------------------------------------------------------------ #
     # Downlink
     # ------------------------------------------------------------------ #
-    def broadcast_round(self, server, selected, task_id, round_index):
+    def broadcast_round(
+        self,
+        server: FederatedServer,
+        selected: Sequence[int],
+        task_id: int,
+        round_index: int,
+    ) -> BroadcastHandle:
+        """Deliver the round's broadcast; returns the handle clients train from."""
         if self._pending is not None:
             raise RuntimeError(
                 "broadcast_round called with a round still pending; "
@@ -540,12 +457,26 @@ class LoopbackTransport(Transport):
                 penalty += self.retry_backoff * (2.0 ** (attempt - 1))
         return max_attempts, penalty, records, False
 
-    def collect_updates(self, updates):
+    def collect_updates(self, updates: List[ClientUpdate]) -> List[ClientUpdate]:
+        """Deliver the round's uploads; returns the updates that reach aggregation."""
         if self._pending is None:
             raise RuntimeError("collect_updates called before broadcast_round")
         pending = self._pending
         self._pending = None
         identity = isinstance(self.codec, IdentityCodec)
+
+        def received(update: ClientUpdate, frame: WireFrame) -> ClientUpdate:
+            # The identity round-trip is the pickle the executor already
+            # performed, so the server keeps the client's own object.
+            if identity:
+                return update
+            return self._decode_update(
+                frame,
+                pending.received,
+                task_id=pending.task_id,
+                round_index=pending.round_index,
+                client_id=update.client_id,
+            )
 
         delivered: List[ClientUpdate] = []
         frames: List[FrameRecord] = []
@@ -575,31 +506,12 @@ class LoopbackTransport(Transport):
                 if self.drop_stragglers:
                     frames.append(FrameRecord(update.client_id, frame.num_bytes, "dropped"))
                 else:
-                    decoded = (
-                        update
-                        if identity
-                        else self._decode_update(
-                            frame,
-                            pending.received,
-                            task_id=pending.task_id,
-                            round_index=pending.round_index,
-                            client_id=update.client_id,
-                        )
+                    self._deferred.append(
+                        _DeferredUpload(received(update, frame), frame.num_bytes)
                     )
-                    self._deferred.append(_DeferredUpload(decoded, frame.num_bytes))
                 continue
             frames.append(FrameRecord(update.client_id, frame.num_bytes))
-            delivered.append(
-                update
-                if identity
-                else self._decode_update(
-                    frame,
-                    pending.received,
-                    task_id=pending.task_id,
-                    round_index=pending.round_index,
-                    client_id=update.client_id,
-                )
-            )
+            delivered.append(received(update, frame))
 
         # Last round's deferred stragglers arrive with this round's uploads.
         arrivals = [item for item in self._deferred]
@@ -614,34 +526,12 @@ class LoopbackTransport(Transport):
             over_budget.sort(key=lambda pair: (pair[1].num_bytes, pair[0].client_id))
             update, frame = over_budget.pop(0)
             frames.append(FrameRecord(update.client_id, frame.num_bytes))
-            delivered.insert(
-                0,
-                update
-                if identity
-                else self._decode_update(
-                    frame,
-                    pending.received,
-                    task_id=pending.task_id,
-                    round_index=pending.round_index,
-                    client_id=update.client_id,
-                ),
-            )
+            delivered.insert(0, received(update, frame))
         for update, frame in over_budget:
             if self.drop_stragglers:
                 frames.append(FrameRecord(update.client_id, frame.num_bytes, "dropped"))
             else:
-                decoded = (
-                    update
-                    if identity
-                    else self._decode_update(
-                        frame,
-                        pending.received,
-                        task_id=pending.task_id,
-                        round_index=pending.round_index,
-                        client_id=update.client_id,
-                    )
-                )
-                self._deferred.append(_DeferredUpload(decoded, frame.num_bytes))
+                self._deferred.append(_DeferredUpload(received(update, frame), frame.num_bytes))
 
         frames.sort(key=lambda record: (record.status != "ok", record.client_id))
         self.ledger.record_measured_round(
@@ -684,19 +574,24 @@ class LoopbackTransport(Transport):
             self._deferred.clear()
 
     def state_dict(self) -> Dict[str, Any]:
+        """Snapshot the transport's session state for a checkpoint."""
         if self._pending is not None:
             raise RuntimeError("cannot snapshot a transport with a round in flight")
-        state = super().state_dict()
-        state.update(
-            ack=self._ack,
-            budgets=dict(self._budgets),
-            deferred=list(self._deferred),
-            last_task_id=self._last_task_id,
-        )
-        return state
+        return {
+            "last_broadcast_bytes": dict(self.last_broadcast_bytes),
+            "last_upload_bytes": dict(self.last_upload_bytes),
+            "last_penalty_seconds": dict(self.last_penalty_seconds),
+            "ack": self._ack,
+            "budgets": dict(self._budgets),
+            "deferred": list(self._deferred),
+            "last_task_id": self._last_task_id,
+        }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        super().load_state_dict(state)
+        """Restore a :meth:`state_dict` snapshot."""
+        self.last_broadcast_bytes = dict(state["last_broadcast_bytes"])
+        self.last_upload_bytes = dict(state["last_upload_bytes"])
+        self.last_penalty_seconds = dict(state["last_penalty_seconds"])
         self._ack = dict(state["ack"])
         self._budgets = dict(state["budgets"])
         self._deferred = list(state["deferred"])
@@ -704,43 +599,10 @@ class LoopbackTransport(Transport):
         self._pending = None
 
 
-def build_transport(
-    transport: str,
-    codec: str,
-    ledger: CommunicationLedger,
-    payload_codec: Optional[PayloadCodec] = None,
-    seed: int = 0,
-    bandwidth_limit: int = 0,
-    drop_stragglers: bool = False,
-    retries: int = 2,
-    retry_backoff: float = 0.5,
-    faults=None,
-) -> Transport:
-    """Construct a transport from the :class:`FederatedConfig` knobs."""
-    if transport == "direct":
-        return DirectTransport(ledger)
-    if transport == "loopback":
-        return LoopbackTransport(
-            ledger=ledger,
-            codec=build_codec(codec),
-            payload_codec=payload_codec,
-            seed=seed,
-            bandwidth_limit=bandwidth_limit,
-            drop_stragglers=drop_stragglers,
-            retries=retries,
-            retry_backoff=retry_backoff,
-            faults=faults,
-        )
-    raise ValueError(f"unknown transport {transport!r}; choose 'direct' or 'loopback'")
-
-
 __all__ = [
     "Transport",
-    "DirectTransport",
-    "LoopbackTransport",
     "TransportError",
     "FrameCorruptionError",
     "FrameDecodeError",
     "verify_frame",
-    "build_transport",
 ]

@@ -21,7 +21,7 @@ class Optimizer:
         self.parameters: List[Parameter] = [p for p in parameters]
         if not self.parameters:
             raise ValueError("optimizer received an empty parameter list")
-        if lr <= 0:
+        if not lr > 0:  # NaN fails too
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = lr
 
@@ -31,6 +31,25 @@ class Optimizer:
 
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
+
+
+def check_sgd_hyperparameters(
+    momentum: float, weight_decay: float, max_grad_norm: Optional[float]
+) -> None:
+    """Reject SGD settings that would silently invert or disable training.
+
+    A non-positive clip bound rescales every gradient by ``max_grad_norm /
+    norm`` — zero freezes the model, a negative bound flips the step into
+    gradient ascent; a momentum of 1 or more never lets old gradients decay,
+    a negative one flips their sign; a negative weight decay would be
+    skipped by the ``> 0`` test.
+    """
+    if max_grad_norm is not None and not max_grad_norm > 0:
+        raise ValueError(f"max_grad_norm must be positive or None, got {max_grad_norm}")
+    if not 0.0 <= momentum < 1.0:
+        raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+    if not weight_decay >= 0.0:
+        raise ValueError(f"weight_decay must be non-negative, got {weight_decay}")
 
 
 class SGD(Optimizer):
@@ -46,6 +65,7 @@ class SGD(Optimizer):
         max_grad_norm: Optional[float] = None,
     ) -> None:
         super().__init__(parameters, lr)
+        check_sgd_hyperparameters(momentum, weight_decay, max_grad_norm)
         if nesterov and momentum <= 0:
             raise ValueError("nesterov momentum requires momentum > 0")
         self.momentum = momentum
@@ -197,4 +217,4 @@ class Adam(Optimizer):
             param.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
 
 
-__all__ = ["Optimizer", "SGD", "BatchedSGD", "Adam"]
+__all__ = ["Optimizer", "SGD", "BatchedSGD", "Adam", "check_sgd_hyperparameters"]

@@ -45,7 +45,7 @@ from repro.federated.communication import (
     encode_frame,
 )
 from repro.federated.config import FederatedConfig
-from repro.federated.transport import LoopbackTransport, _PendingRound
+from repro.federated.transport import Transport, _PendingRound
 
 
 def _scenario(tiny_spec, num_tasks=2):
@@ -188,8 +188,8 @@ class TestInjectorDeterminism:
 # --------------------------------------------------------------------------- #
 # Transport: retry bound, backoff, error hierarchy
 # --------------------------------------------------------------------------- #
-def _loopback(retries: int, backoff: float, spec: FaultSpec, seed: int = 0) -> LoopbackTransport:
-    return LoopbackTransport(
+def _loopback(retries: int, backoff: float, spec: FaultSpec, seed: int = 0) -> Transport:
+    return Transport(
         CommunicationLedger(),
         build_codec("identity"),
         retries=retries,
@@ -266,7 +266,7 @@ class TestTransportErrors:
             kind="upload", codec="identity", body=garbage, checksum=zlib.crc32(garbage)
         )
         with pytest.raises(FrameDecodeError) as excinfo:
-            LoopbackTransport._decode_frame_checked(
+            Transport._decode_frame_checked(
                 frame,
                 build_codec("identity"),
                 None,
@@ -536,8 +536,6 @@ class TestCheckpointResume:
             FederatedConfig(resume=True)  # needs checkpoint_dir
         with pytest.raises(ValueError):
             FederatedConfig(checkpoint_every=1, checkpoint_dir="x", mode="async")
-        with pytest.raises(ValueError):
-            FederatedConfig(transport="direct", faults=FaultSpec(upload_loss_rate=0.5))
         with pytest.raises(ValueError):
             FederatedConfig(retries=-1)
 

@@ -14,7 +14,9 @@ from repro.federated import (
     ClientUpdate,
     CommunicationLedger,
     FederatedServer,
+    FrameRecord,
     LocalTrainingConfig,
+    RoundCommRecord,
     fedavg,
     sample_clients,
     weighted_average_arrays,
@@ -147,29 +149,23 @@ class TestClientIncrement:
 
 
 class TestCommunication:
-    def _update(self, value: float = 1.0, with_payload: bool = False) -> ClientUpdate:
-        payload = {"prompt_groups": {"0": np.zeros(8)}} if with_payload else {}
-        return ClientUpdate(
-            client_id=0,
-            state_dict={"w": np.full((4, 4), value)},
-            num_samples=10,
-            payload=payload,
-        )
-
-    def test_upload_bytes_counts_state_and_payload(self):
-        plain = self._update().upload_bytes()
-        with_prompts = self._update(with_payload=True).upload_bytes()
-        assert with_prompts == plain + 8 * 8
-
     def test_ledger_accumulates(self):
         ledger = CommunicationLedger()
-        updates = [self._update(), self._update(2.0)]
-        ledger.record_round(updates, updates[0].state_dict)
-        assert ledger.rounds == 1
-        assert ledger.uploaded_bytes == sum(u.upload_bytes() for u in updates)
-        assert ledger.broadcast_bytes == 2 * updates[0].state_dict["w"].nbytes
+        for round_index in range(2):
+            ledger.record_measured_round(
+                RoundCommRecord(
+                    task_id=0,
+                    round_index=round_index,
+                    codec="identity",
+                    broadcast_frames=(FrameRecord(0, 100), FrameRecord(1, 100)),
+                    upload_frames=(FrameRecord(0, 40), FrameRecord(1, 60, "dropped")),
+                )
+            )
+        assert ledger.rounds == 2 and len(ledger.records) == 2
+        assert ledger.uploaded_bytes == 2 * 40
+        assert ledger.broadcast_bytes == 2 * 200
+        assert ledger.dropped_uploads == 2 and ledger.dropped_upload_bytes == 2 * 60
         assert ledger.total_bytes == ledger.uploaded_bytes + ledger.broadcast_bytes
-        assert ledger.mean_upload_per_round() > 0
 
 
 class TestServerAndLocalTraining:
@@ -221,3 +217,13 @@ class TestServerAndLocalTraining:
             LocalTrainingConfig(batch_size=0)
         with pytest.raises(ValueError):
             LocalTrainingConfig(learning_rate=0.0)
+        for kwargs in (
+            {"max_grad_norm": -1.0},
+            {"max_grad_norm": 0.0},
+            {"momentum": -0.5},
+            {"momentum": 1.5},
+            {"weight_decay": -0.1},
+        ):
+            with pytest.raises(ValueError):
+                LocalTrainingConfig(**kwargs)
+        LocalTrainingConfig(max_grad_norm=None, momentum=0.0)  # valid edges

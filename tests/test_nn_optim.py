@@ -80,6 +80,17 @@ class TestSGD:
             SGD([p], lr=-0.1)
         with pytest.raises(ValueError):
             SGD([p], lr=0.1, nesterov=True)
+        # Settings that would silently invert or disable training.
+        for kwargs in (
+            {"max_grad_norm": -1.0},  # the clip scale flips the sign: gradient ascent
+            {"max_grad_norm": 0.0},  # the clip scale zeroes every step
+            {"momentum": -0.5},
+            {"momentum": 1.0},
+            {"momentum": 1.5},
+            {"weight_decay": -0.1},  # skipped by the ``> 0`` test
+        ):
+            with pytest.raises(ValueError):
+                SGD([p], lr=0.1, **kwargs)
 
     def test_nesterov_runs(self):
         p = Parameter(np.array([5.0]))

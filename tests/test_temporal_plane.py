@@ -359,7 +359,6 @@ class TestAsyncModes:
         method = build_method("fedewc", tiny_backbone_config, num_tasks=2)
         model = method.build_model()
         server = FederatedServer(model)
-        server.ledger_autorecord = False
 
         param_names = [name for name, _ in model.named_parameters()]
         spiked = param_names[0]
